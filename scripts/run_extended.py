@@ -11,7 +11,7 @@ import pathlib
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rankforge.canonical import dumps_report
 from rankforge.codes import rowspace_distance2_max

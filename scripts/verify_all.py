@@ -10,8 +10,9 @@ in its exact form (order 9, the single extra graph H@Tcd?N).
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rankforge.canonical import canonical_form
 from rankforge.codes import rowspace_distance2_bound, rowspace_distance2_max

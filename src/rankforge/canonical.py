@@ -294,6 +294,3 @@ def dumps_report(payload: dict) -> str:
     """Serialize a report dict preserving insertion (documented) key order."""
     return json.dumps(payload, indent=2)
 
-
-def loads_report(text: str) -> dict:
-    return json.loads(text)

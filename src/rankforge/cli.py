@@ -1,7 +1,7 @@
 """Batch command-line surface. Graphs travel as graph6 on stdin/stdout.
 
 Exit codes: 0 success / theorem verified, 1 theorem counterexample found,
-2 usage or guard error.
+2 usage or guard error, 3 internal error (a soundness re-check failed: a bug).
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
+    InternalError,
     bipartition,
     bits,
     independence_number,
@@ -39,8 +40,9 @@ from .structure import (
     rank_drop_symdiff,
 )
 
-USAGE_ERROR = 2
 COUNTEREXAMPLE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _read_graphs(source: str) -> list[Graph]:
@@ -323,9 +325,12 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, IndexError, OSError, AssertionError) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (InternalError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

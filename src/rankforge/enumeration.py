@@ -15,6 +15,7 @@ maximum completions.
 """
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import sys
@@ -33,6 +34,7 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
+    InternalError,
     add_vertex,
     bipartition,
     bits,
@@ -240,7 +242,6 @@ def compatible(core: Core, a: ExtensionCandidate, b: ExtensionCandidate):
 
 def _completion_rows(core: Core, cands: list[ExtensionCandidate]) -> list[int]:
     r = core.graph.n
-    n = r + len(cands)
     rows = list(core.graph.adj)
     for p, cand in enumerate(cands):
         rows.append(cand.vector)
@@ -251,7 +252,6 @@ def _completion_rows(core: Core, cands: list[ExtensionCandidate]) -> list[int]:
             if compatible(core, cands[p], cands[q]) == 1:
                 rows[r + p] |= 1 << (r + q)
                 rows[r + q] |= 1 << (r + p)
-    assert len(rows) == n
     return rows
 
 
@@ -261,26 +261,42 @@ def complete(core: Core, cands) -> Graph:
     return Graph(core.graph.n + len(cands), tuple(_completion_rows(core, cands)))
 
 
-def _rows_bipartite(rows: list[int], n: int) -> bool:
-    color = [-1] * n
-    for s in range(n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in bits(rows[v]):
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
+Colouring = list[tuple[int, int]]
+
+
+def _add_to_colouring(colouring: Colouring, vbit: int, nbrs: int) -> Colouring | None:
+    """2-colouring after adding the vertex ``vbit`` with neighbour mask ``nbrs``.
+
+    A colouring is a list of (side, other side) vertex-mask pairs, one per
+    component. Every component the new vertex touches merges into one,
+    oriented so its neighbours share a side; None means some component has
+    neighbours on both sides, so the new graph has an odd cycle.
+    """
+    side, other = 0, vbit
+    out = []
+    for a, b in colouring:
+        if a & nbrs:
+            if b & nbrs:
+                return None
+            side, other = side | a, other | b
+        elif b & nbrs:
+            side, other = side | b, other | a
+        else:
+            out.append((a, b))
+    out.append((side, other))
+    return out
 
 
 class _Search:
-    """Per-core branch-and-bound over pairwise-compatible extension sets."""
+    """Per-core branch-and-bound over pairwise-compatible extension sets.
+
+    One rule serves both callers: record every valid set of size >= floor,
+    and prune a subtree when its size plus the colouring bound is < floor.
+    ``run(maximize=True)`` starts at floor 0 and raises it to each larger set
+    found, dropping smaller records, so every optimal set (ties included)
+    survives. Candidate i is vertex r + i of the completion, whose 2-colouring
+    is carried down the recursion (None once it has an odd cycle).
+    """
 
     def __init__(self, core: Core, cls: GraphClass):
         self.core = core
@@ -312,9 +328,11 @@ class _Search:
                 if bit == 1:
                     self.forced1[i] |= 1 << j
                     self.forced1[j] |= 1 << i
+        self.track_colouring = cls in (
+            GraphClass.BIPARTITE,
+            GraphClass.TRIANGLE_FREE_NONBIPARTITE,
+        )
         self.nodes = 0
-        self.best = -1
-        self.best_sets: list[tuple[int, ...]] = []
 
     def _color_bound(self, pool: int) -> int:
         classes: list[int] = []
@@ -331,68 +349,61 @@ class _Search:
                 classes.append(low)
         return len(classes)
 
-    def _passes(self, chosen: list[int], known_nonbip: bool) -> bool:
-        if self.cls is GraphClass.TRIANGLE_FREE_NONBIPARTITE:
-            return known_nonbip
-        return True
+    def run(
+        self, floor: int = 0, max_size: int | None = None, maximize: bool = False
+    ) -> list[tuple[int, ...]]:
+        """Valid index sets (ascending) of size in [floor, max_size], or with
+        ``maximize`` the sets of the largest valid size."""
+        self.floor = floor
+        self.max_size = len(self.cands) if max_size is None else max_size
+        self.maximize = maximize
+        self.sets: list[tuple[int, ...]] = []
+        colouring: Colouring | None = []
+        for i, row in enumerate(self.core.graph.adj):
+            colouring = _add_to_colouring(colouring, 1 << i, row & ((1 << i) - 1))
+            if colouring is None:
+                break
+        self._rec([], 0, (1 << len(self.cands)) - 1, colouring)
+        return self.sets
 
-    def _completion_bipartite(self, chosen: list[int]) -> bool:
-        rows = _completion_rows(self.core, [self.cands[i] for i in chosen])
-        return _rows_bipartite(rows, self.core.graph.n + len(chosen))
-
-    def run(self, collect: bool = True):
-        """Maximize |S|; records every optimal S (ascending index order)."""
-        core_bip = _rows_bipartite(list(self.core.graph.adj), self.core.graph.n)
-        full_pool = (1 << len(self.cands)) - 1
-        self._rec([], full_pool, not core_bip, collect)
-        return self.best, self.best_sets
-
-    def _rec(self, chosen: list[int], pool: int, known_nonbip: bool, collect: bool):
+    def _rec(
+        self, chosen: list[int], chosen_mask: int, pool: int, colouring: Colouring | None
+    ):
         self.nodes += 1
-        if self._passes(chosen, known_nonbip):
-            size = len(chosen)
-            if size > self.best:
-                self.best = size
-                self.best_sets = [tuple(chosen)] if collect else []
-            elif size == self.best and collect:
-                self.best_sets.append(tuple(chosen))
-        if not pool:
+        size = len(chosen)
+        if self.cls is not GraphClass.TRIANGLE_FREE_NONBIPARTITE or colouring is None:
+            if self.maximize and size > self.floor:
+                self.floor = size
+                self.sets = []
+            if size >= self.floor:
+                self.sets.append(tuple(chosen))
+        if size >= self.max_size or size + self._color_bound(pool) < self.floor:
             return
-        if len(chosen) + self._color_bound(pool) < self.best + 1:
-            return
-        chosen_mask = 0
-        for i in chosen:
-            chosen_mask |= 1 << i
+        shift = self.core.graph.n
         m = pool
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            if self.cls.triangle_constrained:
-                # No triangle among three extensions: v's forced-1 partners in
-                # the chosen set must be pairwise non-forced.
-                ones = self.forced1[v] & chosen_mask
-                bad = False
-                mm = ones
-                while mm:
-                    l2 = mm & -mm
-                    if self.forced1[l2.bit_length() - 1] & ones:
-                        bad = True
-                        break
-                    mm ^= l2
-                if bad:
-                    continue
-            child_nonbip = known_nonbip
-            if self.cls is GraphClass.BIPARTITE or (
-                self.cls is GraphClass.TRIANGLE_FREE_NONBIPARTITE and not known_nonbip
+            ones = self.forced1[v] & chosen_mask
+            if self.cls.triangle_constrained and any(
+                self.forced1[u] & ones for u in bits(ones)
             ):
-                bip = self._completion_bipartite(chosen + [v])
-                if self.cls is GraphClass.BIPARTITE and not bip:
+                continue  # v and two adjacent chosen extensions form a triangle
+            child = colouring
+            if self.track_colouring and colouring is not None:
+                child = _add_to_colouring(
+                    colouring, 1 << (shift + v), self.cands[v].vector | ones << shift
+                )
+                if child is None and self.cls is GraphClass.BIPARTITE:
                     continue  # bipartiteness is hereditary: no superset recovers
-                child_nonbip = not bip
-            child_pool = pool & self.compat[v] & ~((low << 1) - 1)
             chosen.append(v)
-            self._rec(chosen, child_pool, child_nonbip, collect)
+            self._rec(
+                chosen,
+                chosen_mask | low,
+                pool & self.compat[v] & ~((low << 1) - 1),
+                child,
+            )
             chosen.pop()
 
 
@@ -405,17 +416,16 @@ class ExtensionResult:
 
 
 def max_extension(core: Core, cls: GraphClass) -> ExtensionResult:
-    """Largest extension sets whose completion satisfies the class predicate.
+    """Every largest extension set whose completion satisfies the class
+    predicate (ties included, in search order).
 
     size is -1 when nothing (not even the bare core) passes the predicate.
     """
     search = _Search(core, cls)
-    best, sets = search.run()
+    sets = search.run(maximize=True)
     return ExtensionResult(
-        size=best,
-        optimal_sets=tuple(
-            tuple(search.cands[i] for i in s) for s in sets
-        ),
+        size=len(sets[0]) if sets else -1,
+        optimal_sets=tuple(tuple(search.cands[i] for i in s) for s in sets),
         candidate_count=len(search.cands),
         nodes=search.nodes,
     )
@@ -425,52 +435,8 @@ def all_extensions(core: Core, cls: GraphClass, min_size: int = 0, max_size=None
     """Every valid extension set with min_size <= |S| (<= max_size), as tuples
     of candidates; used by the completeness oracle and the part-size theorem."""
     search = _Search(core, cls)
-    results: list[tuple[ExtensionCandidate, ...]] = []
-
-    def rec(chosen: list[int], pool: int, known_nonbip: bool):
-        search.nodes += 1
-        if len(chosen) >= min_size and search._passes(chosen, known_nonbip):
-            results.append(tuple(search.cands[i] for i in chosen))
-        if max_size is not None and len(chosen) >= max_size:
-            return
-        if len(chosen) + search._color_bound(pool) < min_size:
-            return
-        chosen_mask = 0
-        for i in chosen:
-            chosen_mask |= 1 << i
-        m = pool
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if cls.triangle_constrained:
-                ones = search.forced1[v] & chosen_mask
-                bad = False
-                mm = ones
-                while mm:
-                    l2 = mm & -mm
-                    if search.forced1[l2.bit_length() - 1] & ones:
-                        bad = True
-                        break
-                    mm ^= l2
-                if bad:
-                    continue
-            child_nonbip = known_nonbip
-            if cls is GraphClass.BIPARTITE or (
-                cls is GraphClass.TRIANGLE_FREE_NONBIPARTITE and not known_nonbip
-            ):
-                bip = search._completion_bipartite(chosen + [v])
-                if cls is GraphClass.BIPARTITE and not bip:
-                    continue
-                child_nonbip = not bip
-            child_pool = pool & search.compat[v] & ~((low << 1) - 1)
-            chosen.append(v)
-            rec(chosen, child_pool, child_nonbip)
-            chosen.pop()
-
-    core_bip = _rows_bipartite(list(core.graph.adj), core.graph.n)
-    rec([], (1 << len(search.cands)) - 1, not core_bip)
-    return results
+    sets = search.run(floor=min_size, max_size=max_size)
+    return [tuple(search.cands[i] for i in s) for s in sets]
 
 
 # ---------------------------------------------------------------------------
@@ -547,11 +513,15 @@ def _search_task(args):
 
 
 def _assert_sound(g: Graph, r: int, cls: GraphClass):
-    assert rank_exact(adjacency_matrix(g)) == r, "emitted graph has wrong rank"
-    assert is_reduced(g), "emitted graph is not reduced"
-    assert cls.final_predicate(g), "emitted graph violates its class predicate"
-    if cls.triangle_constrained:
-        assert is_triangle_free(g), "emitted graph has a triangle"
+    """Re-check an emitted graph; raises InternalError (also under python -O)."""
+    if rank_exact(adjacency_matrix(g)) != r:
+        raise InternalError("emitted graph has wrong rank")
+    if not is_reduced(g):
+        raise InternalError("emitted graph is not reduced")
+    if not cls.final_predicate(g):
+        raise InternalError("emitted graph violates its class predicate")
+    if cls.triangle_constrained and not is_triangle_free(g):
+        raise InternalError("emitted graph has a triangle")
 
 
 def enumerate_extremal(
@@ -572,34 +542,25 @@ def enumerate_extremal(
         if shard_index is None or not 0 <= shard_index < shards:
             raise ValueError("shard index out of range")
         cores = [c for i, c in enumerate(cores) if i % shards == shard_index]
+    tasks = [(c, cls) for c in cores]
     results: list[ExtensionResult] = []
-    if jobs and jobs > 1 and len(cores) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            it = pool.imap(_search_task, [(c, cls) for c in cores], chunksize=4)
-            for i, res in enumerate(it):
-                results.append(res)
-                if progress:
-                    best = max(
-                        (x.size for x in results if x.size >= 0), default=-1
-                    )
-                    print(
-                        f"core {i + 1}/{len(cores)}: best so far "
-                        f"{r + best if best >= 0 else 'none'}",
-                        file=sys.stderr,
-                    )
-    else:
-        for i, core in enumerate(cores):
-            results.append(_search_task((core, cls)))
+    with contextlib.ExitStack() as stack:
+        if jobs and jobs > 1 and len(cores) > 1:
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs))
+            it = pool.imap(_search_task, tasks, chunksize=4)
+        else:
+            it = map(_search_task, tasks)
+        best_size = -1
+        for i, res in enumerate(it):
+            results.append(res)
+            best_size = max(best_size, res.size)
             if progress:
-                best = max((x.size for x in results if x.size >= 0), default=-1)
                 print(
                     f"core {i + 1}/{len(cores)}: best so far "
-                    f"{r + best if best >= 0 else 'none'}",
+                    f"{r + best_size if best_size >= 0 else 'none'}",
                     file=sys.stderr,
                 )
 
-    best_size = max((res.size for res in results), default=-1)
     extremal: dict[str, None] = {}
     if best_size >= 0:
         for core, res in zip(cores, results):
@@ -652,6 +613,26 @@ class TheoremVerification:
     report: EnumerationReport | None = None
 
 
+def _verify_unique_extremal(
+    which: str, r: int, cls: GraphClass, expected_graph: Graph, want: int, jobs, progress
+) -> TheoremVerification:
+    """Pass iff the class's extremal order is ``want`` and its only extremal
+    graph is ``expected_graph``; every other extremal graph is a counterexample
+    (all of them when the order itself is wrong)."""
+    report = enumerate_extremal(r, cls, jobs=jobs, progress=progress)
+    expected = to_graph6(canonical_graph(expected_graph))
+    passed = report.max_order == want and report.extremal == (expected,)
+    msg = (
+        f"max order {report.max_order} (expected {want}); "
+        f"{len(report.extremal)} extremal graph(s)"
+    )
+    if report.max_order != want:
+        bad = report.extremal
+    else:
+        bad = tuple(g6 for g6 in report.extremal if g6 != expected)
+    return TheoremVerification(which, r, passed, msg, bad, report)
+
+
 def verify_theorem(
     which: str, r: int, jobs: int | None = None, progress: bool = False
 ) -> TheoremVerification:
@@ -672,35 +653,18 @@ def verify_theorem(
     if which == "main":
         if not 5 <= r <= max_rank_guard():
             raise ValueError("main theorem check supports 5 <= r <= the rank guard")
-        cls = GraphClass.TRIANGLE_FREE_NONBIPARTITE
-        report = enumerate_extremal(r, cls, jobs=jobs, progress=progress)
-        expected = to_graph6(canonical_graph(extremal_triangle_free(r).graph))
-        want = c_bound(r)
-        passed = report.max_order == want and report.extremal == (expected,)
-        msg = (
-            f"max order {report.max_order} (expected {want}); "
-            f"{len(report.extremal)} extremal graph(s)"
+        return _verify_unique_extremal(
+            "main", r, GraphClass.TRIANGLE_FREE_NONBIPARTITE,
+            extremal_triangle_free(r).graph, c_bound(r), jobs, progress,
         )
-        bad = tuple(g6 for g6 in report.extremal if g6 != expected)
-        if report.max_order != want:
-            bad = report.extremal
-        return TheoremVerification("main", r, passed, msg, bad, report)
 
     if which == "bi":
         if r not in (4, 6, 8):
             raise ValueError("bipartite extremal check supports r in {4, 6, 8}")
-        report = enumerate_extremal(r, GraphClass.BIPARTITE, jobs=jobs, progress=progress)
-        expected = to_graph6(canonical_graph(subset_incidence_graph(r // 2)))
-        want = b_bound(r)
-        passed = report.max_order == want and report.extremal == (expected,)
-        msg = (
-            f"max order {report.max_order} (expected {want}); "
-            f"{len(report.extremal)} extremal graph(s)"
+        return _verify_unique_extremal(
+            "bi", r, GraphClass.BIPARTITE,
+            subset_incidence_graph(r // 2), b_bound(r), jobs, progress,
         )
-        bad = tuple(g6 for g6 in report.extremal if g6 != expected)
-        if report.max_order != want:
-            bad = report.extremal
-        return TheoremVerification("bi", r, passed, msg, bad, report)
 
     if which == "bigen":
         if r not in (6, 8):
@@ -712,8 +676,7 @@ def verify_theorem(
             if not is_connected(g):
                 bad.append(to_graph6(g))
                 continue
-            parts = bipartition(g)
-            assert parts is not None
+            parts = bipartition(g)  # not None: _assert_sound checked the class
             if min(parts[0].bit_count(), parts[1].bit_count()) != r // 2:
                 bad.append(to_graph6(g))
         passed = not bad and bool(graphs)

@@ -16,6 +16,10 @@ class CapacityError(ValueError):
     """A construction or conversion would exceed the 64-vertex word width."""
 
 
+class InternalError(RuntimeError):
+    """A soundness re-check failed: a bug in rankforge, not in its input."""
+
+
 class CapExceededError(RuntimeError):
     """An enumeration cap was hit before the search finished."""
 
@@ -160,13 +164,6 @@ def relabel(g: Graph, perm) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    if a.n + b.n > MAX_VERTICES:
-        raise CapacityError("union exceeds the 64-vertex capacity")
-    rows = list(a.adj) + [row << a.n for row in b.adj]
-    return Graph(a.n + b.n, tuple(rows))
-
-
 def symmetric_difference(g: Graph, u: int, v: int) -> int:
     """N(u) xor N(v) as a vertex mask."""
     if not (0 <= u < g.n and 0 <= v < g.n):
@@ -223,38 +220,6 @@ def bipartition(g: Graph) -> Optional[tuple[int, int]]:
         else:
             second |= 1 << v
     return first, second
-
-
-def odd_closed_walk(g: Graph) -> Optional[list[int]]:
-    """Return a closed walk with an odd number of edges, or None if bipartite."""
-    parent = [-1] * g.n
-    depth = [-1] * g.n
-    for s in range(g.n):
-        if depth[s] != -1:
-            continue
-        depth[s] = 0
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for u in bits(g.adj[v]):
-                if depth[u] == -1:
-                    depth[u] = depth[v] + 1
-                    parent[u] = v
-                    queue.append(u)
-                elif depth[u] % 2 == depth[v] % 2:
-                    # Tree paths to v and u plus the edge uv close an odd walk.
-                    up_v, up_u = [], []
-                    a, b = v, u
-                    while a != -1:
-                        up_v.append(a)
-                        a = parent[a]
-                    while b != -1:
-                        up_u.append(b)
-                        b = parent[b]
-                    return list(reversed(up_v)) + up_u
-    return None
 
 
 def duplication_classes(g: Graph) -> list[int]:

@@ -6,9 +6,7 @@ division is checked to be exact rather than silently truncated.
 """
 from __future__ import annotations
 
-from itertools import combinations
-
-from .graphs import Graph, mask_of
+from .graphs import Graph, InternalError, mask_of
 
 Matrix = list[list[int]]
 
@@ -23,35 +21,9 @@ def adjacency_matrix(g: Graph) -> Matrix:
 
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
-    assert r == 0, "fraction-free elimination produced a non-integer entry"
+    if r:
+        raise InternalError("fraction-free elimination produced a non-integer entry")
     return q
-
-
-def rank_exact(m: Matrix) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in m]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        lead = a[r]
-        pivot = lead[c]
-        for i in range(r + 1, nrows):
-            row = a[i]
-            f = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = _exact_div(pivot * row[j] - f * lead[j], prev)
-            row[c] = 0
-        prev = pivot
-        r += 1
-    return r
 
 
 def det_exact(m: Matrix) -> int:
@@ -145,6 +117,11 @@ def _pivot_columns(m: Matrix) -> list[int]:
     return pivots
 
 
+def rank_exact(m: Matrix) -> int:
+    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+    return len(_pivot_columns(m))
+
+
 def principal_submatrix(m: Matrix, indices) -> Matrix:
     idx = list(indices)
     return [[m[i][j] for j in idx] for i in idx]
@@ -153,17 +130,12 @@ def principal_submatrix(m: Matrix, indices) -> Matrix:
 def nonsingular_principal_core(g: Graph) -> int:
     """Mask of rank(A(g)) vertices whose principal adjacency minor is nonsingular.
 
-    Greedy column basis in index order; for a symmetric matrix the basis columns
-    give a nonsingular principal submatrix, which is verified with det_exact and
-    (defensively) re-derived by exhaustive minor search on tiny graphs.
+    Greedy column basis in index order: for a symmetric matrix, a maximal
+    independent set of columns indexes a nonsingular principal minor. The
+    minor is re-checked with det_exact.
     """
     a = adjacency_matrix(g)
     cols = _pivot_columns(a)
-    if det_exact(principal_submatrix(a, cols)) != 0:
-        return mask_of(cols)
-    if g.n < 8:
-        r = len(cols)
-        for subset in combinations(range(g.n), r):
-            if det_exact(principal_submatrix(a, subset)) != 0:
-                return mask_of(subset)
-    raise AssertionError("no nonsingular principal core found; elimination kernel bug")
+    if det_exact(principal_submatrix(a, cols)) == 0:
+        raise InternalError("pivot columns give a singular principal minor")
+    return mask_of(cols)

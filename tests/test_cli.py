@@ -190,6 +190,18 @@ def test_usage_errors(capsys):
     assert code == 2 and "RANKFORGE_MAX_R" in err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    from rankforge import enumeration
+    from rankforge.graphs import InternalError
+
+    def broken(*args, **kwargs):
+        raise InternalError("emitted graph has wrong rank")
+
+    monkeypatch.setattr(enumeration, "enumerate_extremal", broken)
+    code, _, err = run_cli(capsys, ["enumerate", "--rank", "5", "--class", "tf", "--jobs", "1"])
+    assert code == 3 and "internal error: emitted graph has wrong rank" in err
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "rankforge", "bounds", "--r", "6"],

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankforge
 from rankforge.canonical import (
     are_isomorphic,
     canonical_form,
@@ -12,6 +17,7 @@ from rankforge.canonical import (
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
 from rankforge.enumeration import (
     GraphClass,
+    _add_to_colouring,
     all_extensions,
     candidates,
     compatible,
@@ -24,7 +30,14 @@ from rankforge.enumeration import (
     report_from_payload,
     verify_theorem,
 )
-from rankforge.graphs import bipartition, bits, cycle_graph, is_reduced, is_triangle_free
+from rankforge.graphs import (
+    bipartition,
+    bits,
+    cycle_graph,
+    is_connected,
+    is_reduced,
+    is_triangle_free,
+)
 from rankforge.linalg import adjacency_matrix, det_exact, rank_exact
 
 from conftest import labeled_graphs
@@ -178,6 +191,38 @@ def test_max_extension_on_cycle_core():
     assert complete(core, ()).n == 5
 
 
+@pytest.mark.parametrize("r", (4, 5, 6))
+@pytest.mark.parametrize("cls", list(GraphClass))
+def test_max_extension_keeps_every_tied_optimum(r, cls):
+    """The maximizing search and the enumerate-all search share one rule, so
+    the optimal sets are exactly the valid sets of the optimal size."""
+    for core in gen_cores(r, cls):
+        res = max_extension(core, cls)
+        tied = [
+            s
+            for s in all_extensions(core, cls, min_size=max(res.size, 0))
+            if len(s) == res.size
+        ]
+        assert list(res.optimal_sets) == tied
+
+
+def test_colouring_helper_matches_bipartition(reduced_corpus):
+    for g in reduced_corpus:
+        colouring = []
+        for v in range(g.n):
+            colouring = _add_to_colouring(colouring, 1 << v, g.adj[v] & ((1 << v) - 1))
+            if colouring is None:
+                break
+        assert (colouring is None) == (bipartition(g) is None)
+        if colouring is not None:
+            assert len(colouring) == 1 or not is_connected(g)
+            for side, other in colouring:
+                for v in bits(side):
+                    assert g.adj[v] & side == 0
+                for v in bits(other):
+                    assert g.adj[v] & other == 0
+
+
 # ---------------------------------------------------------------------------
 # Extremal reports
 # ---------------------------------------------------------------------------
@@ -232,6 +277,44 @@ def test_rank7_pair_confirmed_by_direct_generation():
             direct.add(to_graph6(canonical_graph(g)))
     assert direct == set(rep.extremal)
     assert len(direct) == 2
+
+
+def test_rank4_all_extremal_confirmed_by_direct_generation():
+    """Both order-6 reduced rank-4 graphs are reported: filtering all graphs on
+    6 and 7 vertices (no core closure involved) finds the same set."""
+    rep = enumerate_extremal(4, GraphClass.ALL)
+    assert rep.max_order == 6
+    direct = {}
+    for n in (6, 7):
+        direct[n] = {
+            to_graph6(canonical_graph(g))
+            for g in graphs_of_order(n, "all")
+            if is_reduced(g) and rank_exact(adjacency_matrix(g)) == 4
+        }
+    assert direct[7] == set()
+    assert len(direct[6]) == 2
+    assert set(rep.extremal) == direct[6]
+
+
+def test_assert_sound_survives_optimize_flag():
+    src = str(Path(rankforge.__file__).resolve().parents[1])
+    code = (
+        "from rankforge.enumeration import GraphClass, _assert_sound\n"
+        "from rankforge.graphs import InternalError, cycle_graph\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "try:\n"
+        "    _assert_sound(cycle_graph(5), 4, GraphClass.ALL)\n"
+        "except InternalError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised emitted graph has wrong rank"
 
 
 def test_determinism_across_job_counts():

@@ -15,7 +15,6 @@ from rankforge.graphs import (
     is_triangle_free,
     mask_of,
     maximum_independent_sets,
-    odd_closed_walk,
     path_graph,
     reduce_graph,
     relabel,
@@ -94,14 +93,12 @@ def test_bipartition_witnesses(g):
             assert g.adj[v] & first == 0
         for v in bits(second):
             assert g.adj[v] & second == 0
-        assert odd_closed_walk(g) is None
     else:
-        walk = odd_closed_walk(g)
-        assert walk is not None
-        assert walk[0] == walk[-1]
-        assert len(walk) % 2 == 0  # odd number of edges
-        for a, b in zip(walk, walk[1:]):
-            assert g.has_edge(a, b)
+        # no 2-colouring of all vertices leaves every edge bichromatic
+        for side in range(1 << g.n):
+            assert any(g.adj[v] & side for v in bits(side)) or any(
+                g.adj[v] & ~side for v in bits(g.vertices_mask & ~side)
+            )
 
 
 def test_duplication_classes_examples():

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from rankforge.constructions import subset_incidence_graph
-from rankforge.graphs import bits, cycle_graph, path_graph
+from rankforge.graphs import InternalError, bits, cycle_graph, path_graph
 from rankforge.linalg import (
     SingularMatrixError,
+    _exact_div,
     adjacency_matrix,
     adjugate,
     adjugate_solve,
@@ -129,6 +130,7 @@ def test_principal_core_corpus(reduced_corpus):
     for g in reduced_corpus:
         a = adjacency_matrix(g)
         r = rank_exact(a)
+        assert r == fraction_rank(a)
         core = nonsingular_principal_core(g)
         assert core.bit_count() == r
         assert det_exact(principal_submatrix(a, bits(core))) != 0
@@ -140,3 +142,9 @@ def test_rank_of_random_nonzero_entries():
         n = rng.randint(1, 8)
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert rank_exact(m) == fraction_rank(m)
+
+
+def test_inexact_division_is_an_internal_error():
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(InternalError):
+        _exact_div(7, 2)
