@@ -3,8 +3,8 @@
 The canonical certificate is the maximal upper-triangle bitstring over the
 leaves of an individualization-refinement search tree. Automorphisms found as
 cert-equal leaves prune the tree (orbit pruning restricted to generators that
-fix the individualized prefix, which keeps the pruning sound) and give the
-automorphism group order via a Schreier-Sims chain.
+fix the individualized prefix, which keeps the pruning sound); on demand they
+give the automorphism group order via a Schreier-Sims chain.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, mask_of
+from .graphs import Graph, InternalError, mask_of
 
 Perm = tuple[int, ...]
 
@@ -21,10 +21,14 @@ Perm = tuple[int, ...]
 class CanonicalForm:
     n: int
     cert: bytes
-    group_size: int
     orbits: tuple[int, ...]       # smallest vertex of each vertex's orbit
     labeling: Perm                # original vertex -> canonical position
     generators: tuple[Perm, ...]  # generators of the automorphism group
+
+    @property
+    def group_size(self) -> int:
+        """Order of the automorphism group, computed from ``generators``."""
+        return _group_order(self.n, self.generators)
 
 
 def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -109,7 +113,7 @@ def _orbit_partition(n: int, gens) -> list[int]:
     return [find(v) for v in range(n)]
 
 
-def _group_order(n: int, gens: list[Perm]) -> int:
+def _group_order(n: int, gens) -> int:
     """Order of <gens> via a deterministic Schreier-Sims stabilizer chain."""
     order = 1
     current = [g for g in gens if any(g[v] != v for v in range(n))]
@@ -189,7 +193,8 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
     rec(_refine(adj, [list(range(n))]) if n else [], [])
     if n == 0:
         return b"", (), []
-    assert best_cert is not None and best_perm is not None
+    if best_cert is None or best_perm is None:
+        raise InternalError("canonical search reached no leaf")
     return best_cert, best_perm, gens
 
 
@@ -199,7 +204,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return CanonicalForm(
         n=g.n,
         cert=cert,
-        group_size=_group_order(g.n, gens),
         orbits=orbits,
         labeling=perm,
         generators=tuple(gens),

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Graph, bits
+from .graphs import Graph, InternalError, bits
 from .linalg import rank_exact
 
 EQUALITY_NONE = "none"
@@ -186,7 +186,8 @@ def _feasible_extend(basis: list[tuple[int, ...]], word: int, n: int):
     row = [word >> i & 1 for i in range(n)] + [1]
     for brow in basis:
         lead = next((i for i, e in enumerate(brow) if e), None)
-        assert lead is not None
+        if lead is None:
+            raise InternalError("zero row in the echelon basis")
         if row[lead]:
             f = row[lead]
             p = brow[lead]
@@ -237,8 +238,8 @@ def rowspace_distance2_max(
     if not 5 <= n <= 6:
         raise ValueError("search is guarded to lengths 5 and 6")
     seed = _constant_weight_code(n, n // 2)
-    check = rowspace_distance2_bound(seed)  # also validates the seed
-    assert check.holds
+    if not rowspace_distance2_bound(seed).holds:  # also validates the seed
+        raise InternalError("the constant-weight seed code breaks the bound")
     best_size = len(seed)
     best_words = list(seed.words)
     theorem_bound = 5 * 2 ** (n - 4)

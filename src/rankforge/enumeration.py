@@ -20,7 +20,7 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache
 
@@ -468,42 +468,48 @@ class EnumerationReport:
         }
 
 
-def report_from_payload(payload: dict) -> EnumerationReport:
-    return EnumerationReport(
-        rank=payload["rank"],
-        graph_class=payload["class"],
-        max_order=payload["max_order"],
-        extremal=tuple(payload["extremal"]),
-        cores_processed=payload["cores_processed"],
-        candidates_total=payload["candidates_total"],
-        nodes_explored=payload["nodes_explored"],
-        elapsed_ms=payload["elapsed_ms"],
-    )
+def report_from_payload(payload) -> EnumerationReport:
+    """Inverse of ``to_payload``; ValueError unless ``payload`` is an object with
+    exactly the report keys, integer counters and strings where strings belong."""
+    if not isinstance(payload, dict):
+        raise ValueError("report is not a JSON object")
+    names = {f.name for f in fields(EnumerationReport)} - {"graph_class"} | {"class"}
+    if payload.keys() != names:
+        missing, unknown = sorted(names - payload.keys()), sorted(payload.keys() - names)
+        raise ValueError(f"report keys: missing {missing}, unknown {unknown}")
+    kwargs = {"graph_class" if k == "class" else k: v for k, v in payload.items()}
+    counters = [v for k, v in kwargs.items() if k not in ("graph_class", "extremal")]
+    extremal = kwargs["extremal"]
+    if not (
+        all(type(v) is int for v in counters)
+        and type(extremal) is list
+        and all(type(v) is str for v in [kwargs["graph_class"], *extremal])
+    ):
+        raise ValueError("report has a value of the wrong type")
+    return EnumerationReport(**{**kwargs, "extremal": tuple(extremal)})
 
 
 def merge_reports(payloads: list[dict]) -> dict:
     """Merge shard reports of one run: max order wins, extremal lists of the
     winning shards union (deduplicated, sorted), counters add."""
-    if not payloads:
+    reports = [report_from_payload(p) for p in payloads]
+    if not reports:
         raise ValueError("nothing to merge")
-    rank = payloads[0]["rank"]
-    cls = payloads[0]["class"]
-    if any(p["rank"] != rank or p["class"] != cls for p in payloads):
+    first = reports[0]
+    if any((r.rank, r.graph_class) != (first.rank, first.graph_class) for r in reports):
         raise ValueError("shard reports disagree on rank or class")
-    max_order = max(p["max_order"] for p in payloads)
-    extremal = sorted(
-        {g6 for p in payloads if p["max_order"] == max_order for g6 in p["extremal"]}
-    )
-    return {
-        "rank": rank,
-        "class": cls,
-        "max_order": max_order,
-        "extremal": extremal,
-        "cores_processed": sum(p["cores_processed"] for p in payloads),
-        "candidates_total": sum(p["candidates_total"] for p in payloads),
-        "nodes_explored": sum(p["nodes_explored"] for p in payloads),
-        "elapsed_ms": sum(p["elapsed_ms"] for p in payloads),
-    }
+    max_order = max(r.max_order for r in reports)
+    extremal = {g6 for r in reports if r.max_order == max_order for g6 in r.extremal}
+    return EnumerationReport(
+        rank=first.rank,
+        graph_class=first.graph_class,
+        max_order=max_order,
+        extremal=tuple(sorted(extremal)),
+        cores_processed=sum(r.cores_processed for r in reports),
+        candidates_total=sum(r.candidates_total for r in reports),
+        nodes_explored=sum(r.nodes_explored for r in reports),
+        elapsed_ms=sum(r.elapsed_ms for r in reports),
+    ).to_payload()
 
 
 def _search_task(args):
@@ -522,6 +528,18 @@ def _assert_sound(g: Graph, r: int, cls: GraphClass):
         raise InternalError("emitted graph violates its class predicate")
     if cls.triangle_constrained and not is_triangle_free(g):
         raise InternalError("emitted graph has a triangle")
+
+
+def _emitted(r: int, cls: GraphClass, completions) -> dict[str, Graph]:
+    """Canonical graph6 -> canonical graph of every (core, extension set); each
+    distinct graph is re-checked after canonicalization, as it is written out."""
+    out: dict[str, Graph] = {}
+    for core, cand_set in completions:
+        cg = canonical_graph(complete(core, cand_set))
+        out[to_graph6(cg)] = cg
+    for g in out.values():
+        _assert_sound(g, r, cls)
+    return out
 
 
 def enumerate_extremal(
@@ -561,15 +579,8 @@ def enumerate_extremal(
                     file=sys.stderr,
                 )
 
-    extremal: dict[str, None] = {}
-    if best_size >= 0:
-        for core, res in zip(cores, results):
-            if res.size != best_size:
-                continue
-            for cand_set in res.optimal_sets:
-                g = complete(core, cand_set)
-                _assert_sound(g, r, cls)
-                extremal[to_graph6(canonical_graph(g))] = None
+    winners = [(core, res) for core, res in zip(cores, results) if res.size == best_size]
+    extremal = _emitted(r, cls, ((c, s) for c, res in winners for s in res.optimal_sets))
     max_order = r + best_size if best_size >= 0 else 0
     return EnumerationReport(
         rank=r,
@@ -591,15 +602,14 @@ def enumerate_all(
     _rank_range_check(r)
     min_size = max(0, min_order - r)
     max_size = None if max_order is None else max_order - r
-    out: dict[str, Graph] = {}
-    for core in gen_cores(r, cls):
-        if max_size is not None and max_size < 0:
-            break
-        for cand_set in all_extensions(core, cls, min_size=min_size, max_size=max_size):
-            g = complete(core, cand_set)
-            _assert_sound(g, r, cls)
-            cg = canonical_graph(g)
-            out[to_graph6(cg)] = cg
+    if max_size is not None and max_size < 0:
+        return ()
+    completions = (
+        (core, s)
+        for core in gen_cores(r, cls)
+        for s in all_extensions(core, cls, min_size=min_size, max_size=max_size)
+    )
+    out = _emitted(r, cls, completions)
     return tuple(out[k] for k in sorted(out))
 
 

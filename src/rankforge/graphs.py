@@ -108,11 +108,6 @@ def cycle_graph(n: int) -> Graph:
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
 def add_vertex(g: Graph, neighbors: int) -> Graph:
     """Append a vertex adjacent to ``neighbors`` (a mask over existing vertices)."""
     if neighbors >> g.n:
@@ -138,10 +133,6 @@ def induced_subgraph(g: Graph, keep: int) -> Graph:
             row |= 1 << pos[u]
         rows.append(row)
     return Graph(len(kept), tuple(rows))
-
-
-def delete_vertices(g: Graph, drop: int) -> Graph:
-    return induced_subgraph(g, g.vertices_mask & ~drop)
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:

@@ -1,8 +1,8 @@
 """Exact integer linear algebra: fraction-free rank, determinant, adjugate solves.
 
-Everything runs over the rationals with integer arithmetic only (Bareiss
-elimination); Python ints give unbounded headroom, and every fraction-free
-division is checked to be exact rather than silently truncated.
+Everything runs over the rationals with integer arithmetic only, through one
+Bareiss elimination; Python ints give unbounded headroom, and every
+fraction-free division is checked to be exact rather than silently truncated.
 """
 from __future__ import annotations
 
@@ -26,74 +26,19 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def det_exact(m: Matrix) -> int:
-    """Exact determinant via Bareiss elimination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        lead = a[c]
-        pivot = lead[c]
-        for i in range(c + 1, n):
-            row = a[i]
-            f = row[c]
-            for j in range(c + 1, n):
-                row[j] = _exact_div(pivot * row[j] - f * lead[j], prev)
-            row[c] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def _bareiss(m: Matrix, rhs: Matrix = ()) -> tuple[list[int], Matrix, int]:
+    """Fraction-free forward elimination over the columns of ``m``, applied
+    to the augmented rows [m | rhs].
 
-
-def _replace_column(m: Matrix, col: int, vec) -> Matrix:
-    return [row[:col] + [vec[i]] + row[col + 1:] for i, row in enumerate(m)]
-
-
-def adjugate_solve(a: Matrix, b) -> tuple[int, list[int]]:
-    """Return (det(a), adjugate(a) @ b); the result satisfies a @ y == det * b."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError("adjugate_solve requires a square system")
-    d = det_exact(a)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    y = [det_exact(_replace_column(a, i, b)) for i in range(n)]
-    return d, y
-
-
-def adjugate(a: Matrix) -> Matrix:
-    """Integer adjugate: a @ adjugate(a) == det(a) * I (also for singular a)."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("adjugate requires a square matrix")
-    if n == 0:
-        return []
-    if n == 1:
-        return [[1]]
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(a) if k != j]
-            out[i][j] = (-1) ** (i + j) * det_exact(minor)
-    return out
-
-
-def _pivot_columns(m: Matrix) -> list[int]:
-    """Columns of the lexicographically first column basis (greedy in index order)."""
-    a = [list(row) for row in m]
+    Returns the pivot columns (the lexicographically first column basis,
+    greedy in index order), the eliminated rows and the sign of the row swaps.
+    """
+    a = [list(row) + list(rhs[i]) if rhs else list(row) for i, row in enumerate(m)]
     nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    ncols = len(m[0]) if nrows else 0
+    width = len(a[0]) if nrows else 0
     pivots = []
+    sign = 1
     r = 0
     prev = 1
     for c in range(ncols):
@@ -102,24 +47,71 @@ def _pivot_columns(m: Matrix) -> list[int]:
         piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         lead = a[r]
         pivot = lead[c]
         for i in range(r + 1, nrows):
             row = a[i]
             f = row[c]
-            for j in range(c + 1, ncols):
+            for j in range(c + 1, width):
                 row[j] = _exact_div(pivot * row[j] - f * lead[j], prev)
             row[c] = 0
         prev = pivot
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, a, sign
+
+
+def det_exact(m: Matrix) -> int:
+    """Exact determinant via Bareiss elimination."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant requires a square matrix")
+    pivots, u, sign = _bareiss(m)
+    if len(pivots) < n:
+        return 0
+    return sign * u[n - 1][n - 1] if n else 1
+
+
+def _adjugate_times(a: Matrix, rhs: Matrix) -> tuple[int, Matrix]:
+    """(det(a), adjugate(a) @ rhs) for nonsingular a: eliminate [a | rhs], then
+    back-substitute x_i = (p * rhs_i - sum_{j>i} u_ij x_j) / u_ii with p =
+    u_{n-1,n-1} = sign * det, so x = p * a^-1 @ rhs is integral (exact divisions)."""
+    n = len(a)
+    if any(len(row) != n for row in a) or len(rhs) != n:
+        raise ValueError("adjugate requires a square system")
+    pivots, u, sign = _bareiss(a, rhs)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    p = u[n - 1][n - 1] if n else 1
+    x: Matrix = [[] for _ in range(n)]
+    for i in reversed(range(n)):
+        row = u[i]
+        x[i] = [
+            _exact_div(p * v - sum(row[j] * x[j][k] for j in range(i + 1, n)), row[i])
+            for k, v in enumerate(row[n:])
+        ]
+    return sign * p, [[sign * v for v in xi] for xi in x]
+
+
+def adjugate_solve(a: Matrix, b) -> tuple[int, list[int]]:
+    """Return (det(a), adjugate(a) @ b) for nonsingular a; the result
+    satisfies a @ y == det * b."""
+    d, y = _adjugate_times(a, [[v] for v in b])
+    return d, [row[0] for row in y]
+
+
+def adjugate(a: Matrix) -> Matrix:
+    """Integer adjugate of a nonsingular a: a @ adjugate(a) == det(a) * I."""
+    n = len(a)
+    return _adjugate_times(a, [[int(i == j) for j in range(n)] for i in range(n)])[1]
 
 
 def rank_exact(m: Matrix) -> int:
     """Rank over the rationals via fraction-free (Bareiss) elimination."""
-    return len(_pivot_columns(m))
+    return len(_bareiss(m)[0])
 
 
 def principal_submatrix(m: Matrix, indices) -> Matrix:
@@ -135,7 +127,7 @@ def nonsingular_principal_core(g: Graph) -> int:
     minor is re-checked with det_exact.
     """
     a = adjacency_matrix(g)
-    cols = _pivot_columns(a)
+    cols = _bareiss(a)[0]
     if det_exact(principal_submatrix(a, cols)) == 0:
         raise InternalError("pivot columns give a singular principal minor")
     return mask_of(cols)

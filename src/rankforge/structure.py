@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .canonical import to_graph6
-from .graphs import Graph, bits, induced_subgraph, is_reduced, mask_of
+from .graphs import Graph, InternalError, bits, induced_subgraph, is_reduced, mask_of
 from .linalg import adjacency_matrix, rank_exact
 
 MAX_SEARCH_ORDER = 14
@@ -115,7 +115,7 @@ def max_subgraph_below_rank(g: Graph, target_gap: int) -> StructureReport:
     """
     report = next(iter_max_subgraph_reports(g, target_gap), None)
     if report is None:
-        raise AssertionError(
+        raise InternalError(
             "no subgraph met the rank condition within the deletion-size bound; "
             "this contradicts the rank-drop lemma"
         )

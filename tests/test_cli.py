@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from rankforge.canonical import from_graph6, to_graph6
 from rankforge.cli import main
 from rankforge.constructions import extremal_triangle_free
@@ -169,6 +171,16 @@ def test_enumerate_report_and_merge(capsys, tmp_path):
     assert code == 0
     merged = json.loads(merged_path.read_text())
     assert merged["max_order"] == 10 and len(merged["extremal"]) == 1
+
+
+@pytest.mark.parametrize("content", ["{}", "[]", '{"rank": 6}'])
+def test_merge_of_a_malformed_report_is_a_usage_error(capsys, tmp_path, content):
+    bad = tmp_path / "x.json"
+    bad.write_text(content)
+    code, _, err = run_cli(
+        capsys, ["enumerate", "--rank", "6", "--class", "bi", "--merge", str(bad)]
+    )
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_verify_exit_codes(capsys):

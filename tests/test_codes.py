@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rankforge
 from rankforge.codes import (
     EQUALITY_ANTIPODAL_PAIR,
     EQUALITY_EVEN_WEIGHT,
@@ -213,6 +218,28 @@ def test_rowspace_max_length6():
 def test_rowspace_max_length6_without_cutoff():
     best, _ = rowspace_distance2_max(6, use_theorem_cutoff=False)
     assert best == 20
+
+
+def test_rowspace_max_seed_check_survives_optimize_flag():
+    src = str(Path(rankforge.__file__).resolve().parents[1])
+    code = (
+        "from rankforge import codes\n"
+        "from rankforge.graphs import InternalError\n"
+        "assert False, 'asserts must be stripped under -O'\n"
+        "codes.rowspace_distance2_bound = lambda c: codes.RowspaceBoundCheck(0, False)\n"
+        "try:\n"
+        "    codes.rowspace_distance2_max(5)\n"
+        "except InternalError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised ")
 
 
 def test_rowspace_max_guard():

@@ -317,6 +317,31 @@ def test_assert_sound_survives_optimize_flag():
     assert proc.stdout.strip() == "raised emitted graph has wrong rank"
 
 
+def test_emitted_graphs_are_rechecked_after_canonicalization(monkeypatch):
+    from rankforge import enumeration
+    from rankforge.graphs import InternalError, cycle_graph
+
+    # A wrong canonical form must not reach the output unchecked.
+    monkeypatch.setattr(enumeration, "canonical_graph", lambda g: cycle_graph(5))
+    with pytest.raises(InternalError, match="emitted graph has wrong rank"):
+        enumeration.enumerate_all(6, GraphClass.BIPARTITE, min_order=8)
+    with pytest.raises(InternalError, match="emitted graph has wrong rank"):
+        enumerate_extremal(6, GraphClass.BIPARTITE)
+
+
+def test_traced_names_resolve_on_enumeration():
+    import importlib.util
+
+    from rankforge import enumeration
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    missing = [n for n in traced.TRACED if not callable(getattr(enumeration, n, None))]
+    assert traced.TRACED and missing == []
+
+
 def test_determinism_across_job_counts():
     serial = enumerate_extremal(6, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=1)
     parallel = enumerate_extremal(6, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=2)
@@ -355,6 +380,27 @@ def test_report_payload_roundtrip():
         "elapsed_ms",
     ]
     assert report_from_payload(json.loads(json.dumps(payload))) == rep
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda p: [p],
+        lambda p: {},
+        lambda p: {k: v for k, v in p.items() if k != "class"},
+        lambda p: {**p, "shard": 0},
+        lambda p: {**p, "max_order": "7"},
+        lambda p: {**p, "extremal": "Dhc"},
+        lambda p: {**p, "nodes_explored": True},
+    ],
+    ids=["list", "empty", "no-class", "extra-key", "str-order", "str-extremal", "bool"],
+)
+def test_report_from_payload_rejects_other_shapes(change):
+    payload = enumerate_extremal(5, GraphClass.TRIANGLE_FREE).to_payload()
+    with pytest.raises(ValueError):
+        report_from_payload(change(payload))
+    with pytest.raises(ValueError):
+        merge_reports([payload, change(payload)])
 
 
 # ---------------------------------------------------------------------------

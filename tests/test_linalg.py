@@ -86,8 +86,12 @@ def test_adjugate_identity_random():
     for _ in range(60):
         n = rng.randint(1, 6)
         a = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        adj = adjugate(a)
         d = det_exact(a)
+        if d == 0:
+            with pytest.raises(SingularMatrixError):
+                adjugate(a)
+            continue
+        adj = adjugate(a)
         for i in range(n):
             for j in range(n):
                 got = sum(a[i][k] * adj[k][j] for k in range(n))
@@ -142,6 +146,36 @@ def test_rank_of_random_nonzero_entries():
         n = rng.randint(1, 8)
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert rank_exact(m) == fraction_rank(m)
+
+
+def test_kernel_matches_sympy_on_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2718)
+    nonsingular = 0
+    for trial in range(120):
+        n = rng.randint(1, 10)
+        if trial % 2:
+            # symmetric 0/1, like an adjacency matrix (diagonal allowed)
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = rng.randint(0, 1)
+        else:
+            a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        ref = sympy.Matrix(a)
+        d = int(ref.det(method="berkowitz"))
+        assert det_exact(a) == d
+        assert rank_exact(a) == ref.rank()
+        if d == 0:
+            with pytest.raises(SingularMatrixError):
+                adjugate(a)
+            continue
+        ref_adj = ref.inv(method="GE") * d  # rational Gauss-Jordan, not Bareiss
+        assert adjugate(a) == ref_adj.tolist()
+        b = [rng.randint(-3, 3) for _ in range(n)]
+        assert adjugate_solve(a, b) == (d, list(ref_adj * sympy.Matrix(b)))
+        nonsingular += 1
+    assert 30 <= nonsingular < 120  # both branches are exercised
 
 
 def test_inexact_division_is_an_internal_error():

@@ -1,6 +1,8 @@
 import pytest
 
+from rankforge import structure
 from rankforge.graphs import (
+    InternalError,
     bits,
     cycle_graph,
     from_edges,
@@ -85,6 +87,13 @@ def test_max_subgraph_cycle5():
     assert gap2.h_vertices.bit_count() == 3
     assert gap2.rank_h == 2
     assert gap2.verdicts["rank_floor"].ok  # rank_h >= rank_g - 3
+
+
+def test_max_subgraph_without_a_report_is_an_internal_error(monkeypatch):
+    # The rank-drop lemma guarantees a report; its absence is a program fault.
+    monkeypatch.setattr(structure, "iter_max_subgraph_reports", lambda g, gap: iter(()))
+    with pytest.raises(InternalError):
+        max_subgraph_below_rank(cycle_graph(5), 1)
 
 
 def test_max_subgraph_rejects_non_reduced():
