@@ -45,13 +45,15 @@ USAGE_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-def _read_graphs(source: str) -> list[Graph]:
+def _read_lines(source: str) -> list[str]:
     if source == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-    graphs = [from_graph6(line) for line in lines if line.strip()]
+        return sys.stdin.read().splitlines()
+    with open(source) as fh:
+        return fh.read().splitlines()
+
+
+def _read_graphs(source: str) -> list[Graph]:
+    graphs = [from_graph6(line) for line in _read_lines(source) if line.strip()]
     if not graphs:
         raise ValueError("no graph6 input")
     return graphs
@@ -92,18 +94,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    kind = args.kind.upper() if args.kind.lower() != "remark" else "remark"
-    p = args.param
+    kind, p = args.kind, args.param
     if kind == "B":
         g = subset_incidence_graph(p)
     elif kind == "O":
         g = odd_subset_incidence_graph(p)
     elif kind == "C":
         g = extremal_triangle_free_recursive(p) if args.recursive else extremal_triangle_free(p).graph
-    elif kind == "remark":
-        g = bipartite_remark_graph(p)
     else:
-        raise ValueError(f"unknown construction {args.kind!r}")
+        g = bipartite_remark_graph(p)
     _emit(to_graph6(g), args.out)
     return 0
 
@@ -164,12 +163,7 @@ def _cmd_lemma(args) -> int:
 
 
 def _parse_code(source: str) -> codes_mod.BinaryCode:
-    if source == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(source) as fh:
-            lines = fh.read().splitlines()
-    return codes_mod.code_from_lines(lines)
+    return codes_mod.code_from_lines(_read_lines(source))
 
 
 def _cmd_code(args) -> int:
@@ -200,6 +194,8 @@ def _cmd_code(args) -> int:
         print(f"size={len(code)} bound={res.bound} holds={str(res.holds).lower()}")
         return 0 if res.holds else COUNTEREXAMPLE
     if args.which == "f2n-max":
+        if args.n is None:
+            raise ValueError("code f2n-max needs --n")
         best, witness = codes_mod.rowspace_distance2_max(
             args.n, use_theorem_cutoff=not args.no_cutoff
         )

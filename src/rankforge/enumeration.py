@@ -22,7 +22,8 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 
 from .canonical import CanonicalForm, canonical_form, canonical_graph, to_graph6
 from .constructions import (
@@ -33,14 +34,17 @@ from .constructions import (
     subset_incidence_graph,
 )
 from .graphs import (
+    Colouring,
     Graph,
     InternalError,
+    add_to_colouring,
     add_vertex,
     bipartition,
     bits,
     is_connected,
     is_reduced,
     is_triangle_free,
+    two_colouring,
 )
 from .linalg import adjacency_matrix, adjugate, det_exact, rank_exact
 
@@ -261,32 +265,6 @@ def complete(core: Core, cands) -> Graph:
     return Graph(core.graph.n + len(cands), tuple(_completion_rows(core, cands)))
 
 
-Colouring = list[tuple[int, int]]
-
-
-def _add_to_colouring(colouring: Colouring, vbit: int, nbrs: int) -> Colouring | None:
-    """2-colouring after adding the vertex ``vbit`` with neighbour mask ``nbrs``.
-
-    A colouring is a list of (side, other side) vertex-mask pairs, one per
-    component. Every component the new vertex touches merges into one,
-    oriented so its neighbours share a side; None means some component has
-    neighbours on both sides, so the new graph has an odd cycle.
-    """
-    side, other = 0, vbit
-    out = []
-    for a, b in colouring:
-        if a & nbrs:
-            if b & nbrs:
-                return None
-            side, other = side | a, other | b
-        elif b & nbrs:
-            side, other = side | b, other | a
-        else:
-            out.append((a, b))
-    out.append((side, other))
-    return out
-
-
 class _Search:
     """Per-core branch-and-bound over pairwise-compatible extension sets.
 
@@ -358,12 +336,7 @@ class _Search:
         self.max_size = len(self.cands) if max_size is None else max_size
         self.maximize = maximize
         self.sets: list[tuple[int, ...]] = []
-        colouring: Colouring | None = []
-        for i, row in enumerate(self.core.graph.adj):
-            colouring = _add_to_colouring(colouring, 1 << i, row & ((1 << i) - 1))
-            if colouring is None:
-                break
-        self._rec([], 0, (1 << len(self.cands)) - 1, colouring)
+        self._rec([], 0, (1 << len(self.cands)) - 1, two_colouring(self.core.graph))
         return self.sets
 
     def _rec(
@@ -392,7 +365,7 @@ class _Search:
                 continue  # v and two adjacent chosen extensions form a triangle
             child = colouring
             if self.track_colouring and colouring is not None:
-                child = _add_to_colouring(
+                child = add_to_colouring(
                     colouring, 1 << (shift + v), self.cands[v].vector | ones << shift
                 )
                 if child is None and self.cls is GraphClass.BIPARTITE:
@@ -512,12 +485,6 @@ def merge_reports(payloads: list[dict]) -> dict:
     ).to_payload()
 
 
-def _search_task(args):
-    core, cls = args
-    res = max_extension(core, cls)
-    return res
-
-
 def _assert_sound(g: Graph, r: int, cls: GraphClass):
     """Re-check an emitted graph; raises InternalError (also under python -O)."""
     if rank_exact(adjacency_matrix(g)) != r:
@@ -551,23 +518,26 @@ def enumerate_extremal(
     shard_index: int | None = None,
 ) -> EnumerationReport:
     """Maximum order of reduced rank-r graphs in the class, with every extremal
-    graph in canonical graph6. Deterministic for any job count.
+    graph in canonical graph6. Deterministic for any job count. With
+    ``shards`` and ``shard_index`` (both or neither) only the cores whose index
+    is ``shard_index`` mod ``shards`` are searched.
     """
     _rank_range_check(r)
+    if (shards is None) != (shard_index is None):
+        raise ValueError("shards and shard index must be given together")
+    if shards is not None and not 0 <= shard_index < shards:
+        raise ValueError("shard index out of range")
     t0 = time.monotonic()
     cores = list(gen_cores(r, cls))
     if shards is not None:
-        if shard_index is None or not 0 <= shard_index < shards:
-            raise ValueError("shard index out of range")
         cores = [c for i, c in enumerate(cores) if i % shards == shard_index]
-    tasks = [(c, cls) for c in cores]
     results: list[ExtensionResult] = []
     with contextlib.ExitStack() as stack:
         if jobs and jobs > 1 and len(cores) > 1:
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs))
-            it = pool.imap(_search_task, tasks, chunksize=4)
+            it = pool.imap(partial(max_extension, cls=cls), cores, chunksize=4)
         else:
-            it = map(_search_task, tasks)
+            it = map(max_extension, cores, repeat(cls))
         best_size = -1
         for i, res in enumerate(it):
             results.append(res)

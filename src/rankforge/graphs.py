@@ -184,32 +184,59 @@ def is_connected(g: Graph) -> bool:
     return seen == g.vertices_mask
 
 
+Colouring = list[tuple[int, int]]
+
+
+def add_to_colouring(colouring: Colouring, vbit: int, nbrs: int) -> Colouring | None:
+    """2-colouring after adding the vertex ``vbit`` with neighbour mask ``nbrs``.
+
+    A colouring is a list of (side, other side) vertex-mask pairs, one per
+    component. Every component the new vertex touches merges into one,
+    oriented so its neighbours share a side; None means some component has
+    neighbours on both sides, so the new graph has an odd cycle.
+    """
+    side, other = 0, vbit
+    out = []
+    for a, b in colouring:
+        if a & nbrs:
+            if b & nbrs:
+                return None
+            side, other = side | a, other | b
+        elif b & nbrs:
+            side, other = side | b, other | a
+        else:
+            out.append((a, b))
+    out.append((side, other))
+    return out
+
+
+def two_colouring(g: Graph) -> Colouring | None:
+    """``add_to_colouring`` folded over the vertices in index order; None at
+    the first odd cycle."""
+    colouring: Colouring | None = []
+    for v, row in enumerate(g.adj):
+        colouring = add_to_colouring(colouring, 1 << v, row & ((1 << v) - 1))
+        if colouring is None:
+            return None
+    return colouring
+
+
 def bipartition(g: Graph) -> Optional[tuple[int, int]]:
     """Two-color each component, or None if some component has an odd cycle.
 
     The component root (its smallest vertex) lands in the first part, so
     isolated vertices always sit in the first part.
     """
-    color = [-1] * g.n
+    colouring = two_colouring(g)
+    if colouring is None:
+        return None
     first = second = 0
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for u in bits(g.adj[v]):
-                if color[u] == -1:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    for v in range(g.n):
-        if color[v] == 0:
-            first |= 1 << v
-        else:
-            second |= 1 << v
+    for side, other in colouring:
+        component = side | other
+        if component & -component & other:
+            side, other = other, side
+        first |= side
+        second |= other
     return first, second
 
 
@@ -236,14 +263,9 @@ def reduce_graph(g: Graph) -> Graph:
     adjacency rank as the input.
     """
     while True:
-        seen_rows: set[int] = set()
-        keep = 0
-        for v in range(g.n):
-            row = g.adj[v]
-            if row == 0 or row in seen_rows:
-                continue
-            seen_rows.add(row)
-            keep |= 1 << v
+        keep = mask_of(v for v in range(g.n) if g.adj[v])
+        for twins in duplication_classes(g):
+            keep &= ~(twins & (twins - 1))
         if keep == g.vertices_mask:
             return g
         g = induced_subgraph(g, keep)

@@ -11,7 +11,15 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .canonical import to_graph6
-from .graphs import Graph, InternalError, bits, induced_subgraph, is_reduced, mask_of
+from .graphs import (
+    Graph,
+    InternalError,
+    bits,
+    duplication_classes,
+    induced_subgraph,
+    is_reduced,
+    mask_of,
+)
 from .linalg import adjacency_matrix, rank_exact
 
 MAX_SEARCH_ORDER = 14
@@ -145,16 +153,17 @@ def iter_max_subgraph_reports(g: Graph, target_gap: int):
             ok = rank_h < rank_g if target_gap == 1 else rank_h <= rank_g - 2
             if ok:
                 found = True
-                yield _build_report(g, target_gap, keep, rank_g, rank_h)
+                yield _build_report(g, target_gap, keep, sub, rank_g, rank_h, limit)
         if found:
             return
 
 
 def _build_report(
-    g: Graph, gap: int, keep: int, rank_g: int, rank_h: int
+    g: Graph, gap: int, keep: int, sub: Graph, rank_g: int, rank_h: int, bound: int
 ) -> StructureReport:
+    """Report for the kept set ``keep``, with H = ``sub`` its induced subgraph
+    and ``bound`` the deletion-size bound of ``g``."""
     kept = list(bits(keep))
-    sub = induced_subgraph(g, keep)
     deleted = g.vertices_mask & ~keep
     verdicts: dict[str, Verdict] = {}
 
@@ -169,7 +178,6 @@ def _build_report(
         )
 
     t_size = deleted.bit_count()
-    bound = _deletion_size_bound(g)
     verdicts["deletion_bound"] = Verdict(
         ok=t_size <= bound,
         witness="" if t_size <= bound else f"|T|={t_size} > {bound}",
@@ -189,13 +197,7 @@ def _build_report(
     )
 
     # Twin classes of H, mapped back to host vertex ids.
-    groups: dict[int, list[int]] = {}
-    for i in range(sub.n):
-        groups.setdefault(sub.adj[i], []).append(kept[i])
-    classes = sorted(
-        (members for members in groups.values() if len(members) >= 2),
-        key=lambda ms: ms[0],
-    )
+    classes = [[kept[i] for i in bits(twins)] for twins in duplication_classes(sub)]
     pair_ok = all(len(ms) == 2 for ms in classes)
     verdicts["duplication_classes_paired"] = Verdict(
         ok=pair_ok,

@@ -7,7 +7,7 @@ import pytest
 
 from rankforge.canonical import from_graph6, to_graph6
 from rankforge.cli import main
-from rankforge.constructions import extremal_triangle_free
+from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
 from rankforge.graphs import cycle_graph, path_graph
 
 
@@ -77,6 +77,16 @@ def test_reduce_and_check(capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     assert code == 0 and out.strip() == "false"
+
+
+def test_check_bipartite_puts_the_smallest_vertex_first(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        capsys,
+        ["check", "bipartite", "-"],
+        stdin_text=to_graph6(subset_incidence_graph(3)) + "\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0 and out == "true parts=3,7\n"
 
 
 def test_lemma_subcommands(capsys, monkeypatch):
@@ -200,6 +210,23 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["enumerate", "--rank", "99", "--class", "tf", "--jobs", "1"])
     assert code == 2 and "RANKFORGE_MAX_R" in err
+
+
+def test_f2n_max_without_length_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["code", "f2n-max"])
+    assert code == 2 and out == "" and err == "error: code f2n-max needs --n\n"
+
+
+def test_shard_index_without_shards_is_a_usage_error(capsys, tmp_path):
+    report = tmp_path / "r5.json"
+    code, _, err = run_cli(
+        capsys,
+        [
+            "enumerate", "--rank", "5", "--class", "tf", "--jobs", "1",
+            "--shard-index", "3", "--report", str(report),
+        ],
+    )
+    assert code == 2 and err.startswith("error: ") and not report.exists()
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from rankforge.canonical import (
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
 from rankforge.enumeration import (
     GraphClass,
-    _add_to_colouring,
     all_extensions,
     candidates,
     compatible,
@@ -34,9 +33,10 @@ from rankforge.graphs import (
     bipartition,
     bits,
     cycle_graph,
-    is_connected,
     is_reduced,
     is_triangle_free,
+    mask_of,
+    two_colouring,
 )
 from rankforge.linalg import adjacency_matrix, det_exact, rank_exact
 
@@ -207,20 +207,24 @@ def test_max_extension_keeps_every_tied_optimum(r, cls):
 
 
 def test_colouring_helper_matches_bipartition(reduced_corpus):
+    nx = pytest.importorskip("networkx")
     for g in reduced_corpus:
-        colouring = []
-        for v in range(g.n):
-            colouring = _add_to_colouring(colouring, 1 << v, g.adj[v] & ((1 << v) - 1))
-            if colouring is None:
-                break
-        assert (colouring is None) == (bipartition(g) is None)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        colouring = two_colouring(g)
+        parts = bipartition(g)
+        assert (colouring is None) == (parts is None) == (not nx.is_bipartite(h))
         if colouring is not None:
-            assert len(colouring) == 1 or not is_connected(g)
+            components = sorted(mask_of(c) for c in nx.connected_components(h))
+            assert sorted(side | other for side, other in colouring) == components
             for side, other in colouring:
                 for v in bits(side):
                     assert g.adj[v] & side == 0
                 for v in bits(other):
                     assert g.adj[v] & other == 0
+            first, _ = parts
+            assert all(first >> min(c) & 1 for c in nx.connected_components(h))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +321,20 @@ def test_assert_sound_survives_optimize_flag():
     assert proc.stdout.strip() == "raised emitted graph has wrong rank"
 
 
+def test_no_assert_statement_in_the_package():
+    """Checks written as ``assert`` vanish under ``python -O``."""
+    import ast
+
+    package = Path(rankforge.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_emitted_graphs_are_rechecked_after_canonicalization(monkeypatch):
     from rankforge import enumeration
     from rankforge.graphs import InternalError, cycle_graph
@@ -364,6 +382,12 @@ def test_sharding_and_merge():
     assert merged["cores_processed"] == full.cores_processed
     with pytest.raises(ValueError):
         enumerate_extremal(6, GraphClass.BIPARTITE, shards=2, shard_index=5)
+
+
+@pytest.mark.parametrize("shards, shard_index", [(None, 0), (2, None)])
+def test_shard_arguments_go_together(shards, shard_index):
+    with pytest.raises(ValueError, match="given together"):
+        enumerate_extremal(5, GraphClass.BIPARTITE, shards=shards, shard_index=shard_index)
 
 
 def test_report_payload_roundtrip():

@@ -93,6 +93,19 @@ def test_bipartition_witnesses(g):
             assert g.adj[v] & first == 0
         for v in bits(second):
             assert g.adj[v] & second == 0
+        # the smallest vertex of every component lies in the first part
+        seen = 0
+        for smallest in range(g.n):
+            if seen >> smallest & 1:
+                continue
+            component = frontier = 1 << smallest
+            while frontier:
+                for v in bits(frontier):
+                    frontier |= g.adj[v]
+                frontier &= ~component
+                component |= frontier
+            seen |= component
+            assert first >> smallest & 1
     else:
         # no 2-colouring of all vertices leaves every edge bichromatic
         for side in range(1 << g.n):
