@@ -12,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, InternalError, mask_of
+from .graphs import Graph, InternalError, mask_of, relabel
 
 Perm = tuple[int, ...]
 
@@ -60,25 +60,25 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
 
 
 def _cert_bits(adj: tuple[int, ...], perm: Perm, n: int) -> bytes:
-    """Upper-triangle bitstring of the relabeled adjacency, packed MSB-first."""
+    """Upper-triangle bitstring of the relabeled adjacency, packed MSB-first.
+
+    Row i of the relabeled matrix is built once, reversed so that column j
+    sits at bit n-1-j; its segment j > i is then the low n-1-i bits."""
+    flip = [1 << (n - 1 - p) for p in perm]
     inv = [0] * n
     for v, p in enumerate(perm):
         inv[p] = v
-    out = bytearray()
     acc = 0
-    nbits = 0
     for i in range(n):
-        vi = inv[i]
-        row = adj[vi]
-        for j in range(i + 1, n):
-            acc = (acc << 1) | (row >> inv[j] & 1)
-            nbits += 1
-            if nbits == 8:
-                out.append(acc)
-                acc = nbits = 0
-    if nbits:
-        out.append(acc << (8 - nbits))
-    return bytes(out)
+        rest = adj[inv[i]]
+        row = 0
+        while rest:
+            low = rest & -rest
+            row |= flip[low.bit_length() - 1]
+            rest ^= low
+        acc = (acc << (n - 1 - i)) | (row & ((1 << (n - 1 - i)) - 1))
+    nbits = n * (n - 1) // 2
+    return (acc << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
@@ -169,23 +169,29 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
                 gens.append(auto)
 
     def rec(cells: list[list[int]], prefix: list[int]):
-        if all(len(c) == 1 for c in cells):
+        if len(cells) == n:
             leaf(cells)
             return
         size = max(len(c) for c in cells)
         ti = next(i for i, c in enumerate(cells) if len(c) == size)
         cell = cells[ti]
         done: list[int] = []
+        # Orbits of the known automorphisms that fix the prefix, updated only
+        # when a sibling's subtree has found new generators.
+        fixing: list[Perm] = []
+        seen = 0
+        orb: list[int] | None = None
         for v in cell:
-            if done:
-                # Skip v if a known automorphism fixing the prefix maps it
-                # onto an already-explored branch.
-                fixing = [g for g in gens if all(g[p] == p for p in prefix)]
-                if fixing:
+            if done and len(gens) > seen:
+                new = [g for g in gens[seen:] if all(g[p] == p for p in prefix)]
+                seen = len(gens)
+                if new:
+                    fixing += new
                     orb = _orbit_partition(n, fixing)
-                    if any(orb[v] == orb[u] for u in done):
-                        done.append(v)
-                        continue
+            # Skip v if such an automorphism maps it onto an explored branch.
+            if orb is not None and any(orb[v] == orb[u] for u in done):
+                done.append(v)
+                continue
             split = cells[:ti] + [[v], [u for u in cell if u != v]] + cells[ti + 1:]
             rec(_refine(adj, split), prefix + [v])
             done.append(v)
@@ -212,8 +218,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    from .graphs import relabel
-
     return relabel(g, canonical_form(g).labeling)
 
 

@@ -118,15 +118,16 @@ _HEREDITARY = {
 # ---------------------------------------------------------------------------
 
 
-def _subset_orbit_reps(k: int, gens) -> list[int]:
-    """Smallest representative of each orbit of 2^k vertex subsets under the
-    group generated by ``gens`` (vertex permutations of a k-vertex graph)."""
+def _subset_orbit_reps(k: int, gens, min_size: int) -> list[int]:
+    """Smallest representative of each orbit of the vertex subsets of size at
+    least ``min_size`` under the group generated by ``gens`` (vertex
+    permutations of a k-vertex graph); orbits preserve size."""
     if not gens:
-        return list(range(1 << k))
+        return [m for m in range(1 << k) if m.bit_count() >= min_size]
     reps = []
     seen = bytearray(1 << k)
     for m in range(1 << k):
-        if seen[m]:
+        if seen[m] or m.bit_count() < min_size:
             continue
         reps.append(m)
         seen[m] = 1
@@ -156,7 +157,16 @@ def _level(pred_name: str, n: int) -> tuple[tuple[Graph, CanonicalForm], ...]:
         return ((k1, canonical_form(k1)),) if pred(k1) else ()
     out = []
     for parent, pform in _level(pred_name, n - 1):
-        for nb in _subset_orbit_reps(parent.n, pform.generators):
+        degrees = [row.bit_count() for row in parent.adj]
+        top = max(degrees)
+        top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
+        for nb in _subset_orbit_reps(parent.n, pform.generators, top):
+            # Refinement first orders cells by ascending degree, so the last
+            # canonical position has maximum degree, and orbits keep degrees:
+            # the child can pass the orbit test only if the added vertex has
+            # the child's maximum degree (each vertex in nb gains one).
+            if nb.bit_count() < top + bool(nb & top_mask):
+                continue
             child = add_vertex(parent, nb)
             if not pred(child):
                 continue

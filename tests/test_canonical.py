@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rankforge.canonical import (
     Graph6Error,
+    _cert_bits,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -148,3 +149,32 @@ def test_graph6_rejects_malformed():
 
 def test_graph6_optional_header():
     assert from_graph6(">>graph6<<A_") == from_edges(2, [(0, 1)])
+
+
+def _cert_bits_reference(adj, perm, n):
+    """Bit-by-bit upper triangle of the relabeled adjacency, MSB-first."""
+    inv = [0] * n
+    for v, p in enumerate(perm):
+        inv[p] = v
+    out = bytearray()
+    acc = nbits = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = (acc << 1) | (adj[inv[i]] >> inv[j] & 1)
+            nbits += 1
+            if nbits == 8:
+                out.append(acc)
+                acc = nbits = 0
+    if nbits:
+        out.append(acc << (8 - nbits))
+    return bytes(out)
+
+
+def test_packed_cert_matches_bitwise_reference():
+    rng = random.Random(2024)
+    for _ in range(600):
+        n = rng.randint(0, 20)
+        g = random_graph(rng, n, rng.random())
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert _cert_bits(g.adj, tuple(perm), n) == _cert_bits_reference(g.adj, perm, n)

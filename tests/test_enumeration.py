@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -16,7 +17,10 @@ from rankforge.canonical import (
 )
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
 from rankforge.enumeration import (
+    _HEREDITARY,
     GraphClass,
+    _level,
+    _subset_orbit_reps,
     all_extensions,
     candidates,
     compatible,
@@ -30,6 +34,7 @@ from rankforge.enumeration import (
     verify_theorem,
 )
 from rankforge.graphs import (
+    add_vertex,
     bipartition,
     bits,
     cycle_graph,
@@ -103,6 +108,90 @@ def test_triangle_free_counts_to_nine():
     # matches the published isomorph counts for triangle-free graphs
     got = [len(graphs_of_order(n, "triangle-free")) for n in range(1, 10)]
     assert got == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+
+
+@pytest.mark.parametrize(
+    "name,counts",
+    [
+        ("bipartite", [1, 2, 3, 7, 13, 35, 88, 303]),  # OEIS A033995
+        ("all", [1, 2, 4, 11, 34, 156, 1044]),  # OEIS A000088
+    ],
+)
+def test_published_counts_of_the_other_classes(name, counts):
+    got = [len(graphs_of_order(n, name)) for n in range(1, len(counts) + 1)]
+    assert got == counts
+
+
+_NX_PREDICATES = {
+    "all": lambda nx, h: True,
+    "triangle-free": lambda nx, h: not any(nx.triangles(h).values()),
+    "bipartite": lambda nx, h: nx.is_bipartite(h),
+}
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced")
+@pytest.mark.parametrize("name", sorted(_NX_PREDICATES))
+def test_generation_matches_networkx_atlas(name):
+    # Independent of rankforge certificates: networkx's atlas of all graphs
+    # on at most 7 vertices, its own class predicates and its own isomorphism
+    # test, with Weisfeiler-Lehman hashes only to bucket candidates.
+    nx = pytest.importorskip("networkx")
+    wl = nx.weisfeiler_lehman_graph_hash
+    pred = _NX_PREDICATES[name]
+    for n in range(1, 8):
+        buckets: dict[str, list] = {}
+        for h in nx.graph_atlas_g():
+            if h.number_of_nodes() == n and pred(nx, h):
+                buckets.setdefault(wl(h), []).append(h)
+        matched = set()
+        gen = graphs_of_order(n, name)
+        for g in gen:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            hits = [id(a) for a in buckets.get(wl(h), ()) if nx.is_isomorphic(h, a)]
+            assert len(hits) == 1
+            matched.add(hits[0])
+        assert len(matched) == len(gen) == sum(len(b) for b in buckets.values())
+
+
+@pytest.mark.parametrize(
+    "name,top", [("all", 7), ("triangle-free", 8), ("bipartite", 7)]
+)
+def test_degree_pretest_rejects_only_what_the_orbit_test_rejects(name, top):
+    # Reference: the level built with a full canonical labeling of every
+    # child that passes the class predicate, as before the degree pre-test.
+    pred = _HEREDITARY[name]
+    for n in range(2, top + 1):
+        accepted = []
+        for parent, pform in _level(name, n - 1):
+            for nb in _subset_orbit_reps(parent.n, pform.generators, 0):
+                child = add_vertex(parent, nb)
+                if not pred(child):
+                    continue
+                cf = canonical_form(child)
+                vstar = cf.labeling.index(child.n - 1)
+                passes = cf.orbits[vstar] == cf.orbits[child.n - 1]
+                # The pre-test drops a child whose added vertex is below the
+                # child's maximum degree: the orbit test must drop it too.
+                if child.adj[-1].bit_count() < max(r.bit_count() for r in child.adj):
+                    assert not passes
+                if passes:
+                    accepted.append((child, cf))
+        assert _level(name, n) == tuple(accepted)
+
+
+def test_level_certificates_match_golden_digest():
+    # SHA-256 over the certificate, labeling and generators of every
+    # triangle-free and every bipartite graph on 8 vertices: graph6 output
+    # and golden reports depend on them, so a speedup may not change them.
+    h = hashlib.sha256()
+    for name in ("triangle-free", "bipartite"):
+        for _, cf in _level(name, 8):
+            h.update(f"{cf.cert.hex()} {cf.labeling} {cf.generators}\n".encode())
+    assert h.hexdigest() == (
+        "4d45ff008376421ce87a1122fcc1336e78000fbcd884c72fc2c131f7fed2fa13"
+    )
 
 
 # ---------------------------------------------------------------------------
