@@ -71,21 +71,20 @@ class GraphClass(Enum):
         return self is not GraphClass.ALL
 
     @property
+    def bipartite(self) -> bool | None:
+        """True if class graphs must be bipartite, False if they must not be
+        (the one class rule that is not hereditary), None if it does not matter."""
+        return {"bipartite": True, "triangle-free-nonbipartite": False}.get(self.value)
+
+    @property
     def hereditary_name(self) -> str:
-        if self is GraphClass.ALL:
-            return "all"
-        if self is GraphClass.BIPARTITE:
-            return "bipartite"
-        return "triangle-free"
+        """``_HEREDITARY`` key of the smallest hereditary class containing this one."""
+        return "triangle-free" if self.bipartite is False else self.value
 
     def final_predicate(self, g: Graph) -> bool:
-        if self is GraphClass.ALL:
-            return True
-        if self is GraphClass.TRIANGLE_FREE:
-            return is_triangle_free(g)
-        if self is GraphClass.BIPARTITE:
-            return bipartition(g) is not None
-        return is_triangle_free(g) and bipartition(g) is None
+        return _HEREDITARY[self.hereditary_name](g) and (
+            self.bipartite is not False or bipartition(g) is None
+        )
 
     @staticmethod
     def from_token(token: str) -> "GraphClass":
@@ -225,16 +224,23 @@ class ExtensionCandidate:
     image: tuple[int, ...]
 
 
-def candidates(core: Core) -> tuple[ExtensionCandidate, ...]:
+def candidates(core: Core, cls: GraphClass) -> tuple[ExtensionCandidate, ...]:
     """All nonzero b (not equal to a core row) with b^T adj(A) b == 0, in
-    ascending vector order."""
+    ascending vector order; in a triangle-constrained class only the b that
+    are independent in the core."""
     r = core.graph.n
-    rows = set(core.graph.adj)
+    adj = core.graph.adj
+    rows = set(adj)
+    # A core triangle through an extension needs two adjacent core vertices
+    # in b, so triangle-constrained candidates must be independent sets.
+    independent = cls.triangle_constrained
     out = []
     for b in range(1, 1 << r):
         if b in rows:
             continue
         members = list(bits(b))
+        if independent and any(adj[i] & b for i in members):
+            continue
         y = tuple(sum(core.adjug[j][i] for i in members) for j in range(r))
         if sum(y[j] for j in members) == 0:
             out.append(ExtensionCandidate(vector=b, image=y))
@@ -254,7 +260,9 @@ def compatible(core: Core, a: ExtensionCandidate, b: ExtensionCandidate):
     return None
 
 
-def _completion_rows(core: Core, cands: list[ExtensionCandidate]) -> list[int]:
+def complete(core: Core, cands) -> Graph:
+    """The completed graph: core plus the given pairwise-compatible extensions."""
+    cands = list(cands)
     r = core.graph.n
     rows = list(core.graph.adj)
     for p, cand in enumerate(cands):
@@ -266,13 +274,7 @@ def _completion_rows(core: Core, cands: list[ExtensionCandidate]) -> list[int]:
             if compatible(core, cands[p], cands[q]) == 1:
                 rows[r + p] |= 1 << (r + q)
                 rows[r + q] |= 1 << (r + p)
-    return rows
-
-
-def complete(core: Core, cands) -> Graph:
-    """The completed graph: core plus the given pairwise-compatible extensions."""
-    cands = list(cands)
-    return Graph(core.graph.n + len(cands), tuple(_completion_rows(core, cands)))
+    return Graph(r + len(cands), tuple(rows))
 
 
 class _Search:
@@ -283,22 +285,15 @@ class _Search:
     ``run(maximize=True)`` starts at floor 0 and raises it to each larger set
     found, dropping smaller records, so every optimal set (ties included)
     survives. Candidate i is vertex r + i of the completion, whose 2-colouring
-    is carried down the recursion (None once it has an odd cycle).
+    is carried down the recursion when the class constrains bipartiteness
+    (None once it has an odd cycle, and throughout when it does not).
     """
 
     def __init__(self, core: Core, cls: GraphClass):
         self.core = core
-        self.cls = cls
-        cand_list = candidates(core)
-        if cls.triangle_constrained:
-            # A core triangle through an extension needs two adjacent core
-            # vertices in b, so candidates must be independent sets.
-            cand_list = tuple(
-                c
-                for c in cand_list
-                if all(core.graph.adj[i] & c.vector == 0 for i in bits(c.vector))
-            )
-        self.cands = cand_list
+        self.triangle_free = cls.triangle_constrained
+        self.bipartite = cls.bipartite
+        self.cands = cand_list = candidates(core, cls)
         k = len(cand_list)
         self.compat = [0] * k
         self.forced1 = [0] * k
@@ -307,7 +302,7 @@ class _Search:
                 bit = compatible(core, cand_list[i], cand_list[j])
                 if bit is None:
                     continue
-                if bit == 1 and cls.triangle_constrained and (
+                if bit == 1 and self.triangle_free and (
                     cand_list[i].vector & cand_list[j].vector
                 ):
                     continue  # a shared core neighbor would close a triangle
@@ -316,10 +311,6 @@ class _Search:
                 if bit == 1:
                     self.forced1[i] |= 1 << j
                     self.forced1[j] |= 1 << i
-        self.track_colouring = cls in (
-            GraphClass.BIPARTITE,
-            GraphClass.TRIANGLE_FREE_NONBIPARTITE,
-        )
         self.nodes = 0
 
     def _color_bound(self, pool: int) -> int:
@@ -346,7 +337,8 @@ class _Search:
         self.max_size = len(self.cands) if max_size is None else max_size
         self.maximize = maximize
         self.sets: list[tuple[int, ...]] = []
-        self._rec([], 0, (1 << len(self.cands)) - 1, two_colouring(self.core.graph))
+        colouring = None if self.bipartite is None else two_colouring(self.core.graph)
+        self._rec([], 0, (1 << len(self.cands)) - 1, colouring)
         return self.sets
 
     def _rec(
@@ -354,7 +346,7 @@ class _Search:
     ):
         self.nodes += 1
         size = len(chosen)
-        if self.cls is not GraphClass.TRIANGLE_FREE_NONBIPARTITE or colouring is None:
+        if self.bipartite is not False or colouring is None:
             if self.maximize and size > self.floor:
                 self.floor = size
                 self.sets = []
@@ -369,16 +361,14 @@ class _Search:
             v = low.bit_length() - 1
             m ^= low
             ones = self.forced1[v] & chosen_mask
-            if self.cls.triangle_constrained and any(
-                self.forced1[u] & ones for u in bits(ones)
-            ):
+            if self.triangle_free and any(self.forced1[u] & ones for u in bits(ones)):
                 continue  # v and two adjacent chosen extensions form a triangle
             child = colouring
-            if self.track_colouring and colouring is not None:
+            if colouring is not None:
                 child = add_to_colouring(
                     colouring, 1 << (shift + v), self.cands[v].vector | ones << shift
                 )
-                if child is None and self.cls is GraphClass.BIPARTITE:
+                if child is None and self.bipartite:
                     continue  # bipartiteness is hereditary: no superset recovers
             chosen.append(v)
             self._rec(

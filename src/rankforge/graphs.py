@@ -59,15 +59,18 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match vertex count")
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        adj = self.adj
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"row {v} references vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for u in bits(row):
-                if not self.adj[u] >> v & 1:
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                row ^= low
 
     @property
     def vertices_mask(self) -> int:

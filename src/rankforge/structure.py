@@ -19,6 +19,7 @@ from .graphs import (
     induced_subgraph,
     is_reduced,
     mask_of,
+    symmetric_difference,
 )
 from .linalg import adjacency_matrix, rank_exact
 
@@ -34,28 +35,30 @@ def _require_reduced(g: Graph):
         raise ValueError("operation requires a reduced graph")
 
 
+def _rank_drop(g: Graph, drop: int) -> tuple[int, int, bool]:
+    lhs = _graph_rank(induced_subgraph(g, g.vertices_mask & ~drop))
+    rhs = _graph_rank(g) - 2
+    return lhs, rhs, lhs <= rhs
+
+
 def rank_drop_neighborhood(g: Graph, v: int) -> tuple[int, int, bool]:
     """(rank(G - N(v)), rank(G) - 2, lhs <= rhs); the inequality must hold for
     every reduced graph."""
     _require_reduced(g)
     if not 0 <= v < g.n:
         raise IndexError("vertex out of range")
-    lhs = _graph_rank(induced_subgraph(g, g.vertices_mask & ~g.adj[v]))
-    rhs = _graph_rank(g) - 2
-    return lhs, rhs, lhs <= rhs
+    return _rank_drop(g, g.adj[v])
 
 
 def rank_drop_symdiff(g: Graph, u: int, v: int) -> tuple[int, int, bool]:
     """(rank(G - (N(u) xor N(v))), rank(G) - 2, lhs <= rhs) for non-adjacent u, v."""
     _require_reduced(g)
+    drop = symmetric_difference(g, u, v)
     if u == v:
         raise ValueError("vertices must be distinct")
     if g.has_edge(u, v):
         raise ValueError("vertices must be non-adjacent")
-    drop = g.adj[u] ^ g.adj[v]
-    lhs = _graph_rank(induced_subgraph(g, g.vertices_mask & ~drop))
-    rhs = _graph_rank(g) - 2
-    return lhs, rhs, lhs <= rhs
+    return _rank_drop(g, drop)
 
 
 @dataclass(frozen=True)

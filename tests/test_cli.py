@@ -117,6 +117,19 @@ def test_lemma_subcommands(capsys, monkeypatch):
     assert payload["obstruction_free"] is True
 
 
+@pytest.mark.parametrize("u", ("-1", "9"))
+def test_lemma_symdiff_rejects_a_vertex_out_of_range(capsys, monkeypatch, u):
+    g6 = to_graph6(subset_incidence_graph(2))
+    code, out, err = run_cli(
+        capsys,
+        ["lemma", "symdiff", "-", "--u", u, "--v", "2"],
+        stdin_text=g6 + "\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == ""
+    assert "vertex index out of range" in err
+
+
 def test_code_subcommands(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -45,7 +46,7 @@ from rankforge.graphs import (
 )
 from rankforge.linalg import adjacency_matrix, det_exact, rank_exact
 
-from conftest import labeled_graphs
+from conftest import fraction_rank, labeled_graphs, leibniz_det
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def test_candidates_satisfy_definitions():
         for c in gen_cores(5, GraphClass.TRIANGLE_FREE)
         if canonical_form(c.graph).cert == canonical_form(cycle_graph(5)).cert
     )
-    cands = candidates(core)
+    cands = candidates(core, GraphClass.TRIANGLE_FREE)
     rows = set(core.graph.adj)
     for cand in cands:
         assert cand.vector != 0
@@ -242,9 +243,77 @@ def test_candidates_satisfy_definitions():
             assert cand.image[j] == sum(core.adjug[j][i] for i in bits(cand.vector))
 
 
+@pytest.mark.parametrize("r", (4, 5, 6))
+def test_candidates_match_bordered_rank_oracle(r):
+    """Candidates are exactly the b != 0 outside the core rows whose bordered
+    matrix keeps rank r, independent in the core in a triangle-constrained
+    class; each image y solves A y = det(A) b, so y = adj(A) b."""
+    kernels = {}  # core rows -> the b whose bordered matrix has rank r
+    for cls in GraphClass:
+        for core in gen_cores(r, cls):
+            a = adjacency_matrix(core.graph)
+            det = leibniz_det(a)
+            if core.graph.adj not in kernels:
+                kernels[core.graph.adj] = [
+                    b
+                    for b in range(1, 1 << r)
+                    if fraction_rank(
+                        [row + [b >> i & 1] for i, row in enumerate(a)]
+                        + [[b >> i & 1 for i in range(r)] + [0]]
+                    )
+                    == r
+                ]
+            expected = [
+                b
+                for b in kernels[core.graph.adj]
+                if b not in core.graph.adj
+                and not (
+                    cls.triangle_constrained and any(core.graph.adj[i] & b for i in bits(b))
+                )
+            ]
+            cands = candidates(core, cls)
+            assert [c.vector for c in cands] == expected, (cls, core.graph)
+            for c in cands:
+                for i in range(r):
+                    assert sum(a[i][j] * c.image[j] for j in range(r)) == det * (
+                        c.vector >> i & 1
+                    )
+
+
+def _has_triangle(g):
+    return any(
+        g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
+        for u, v, w in combinations(range(g.n), 3)
+    )
+
+
+def _two_colourable(g):
+    """Some vertex set S and its complement both hold no edge."""
+    full = (1 << g.n) - 1
+    return any(
+        all(g.adj[v] & (s if s >> v & 1 else full & ~s) == 0 for v in range(g.n))
+        for s in range(1 << g.n)
+    )
+
+
+def test_final_predicate_matches_brute_force(reduced_corpus):
+    expected = {
+        GraphClass.ALL: lambda g: True,
+        GraphClass.TRIANGLE_FREE: lambda g: not _has_triangle(g),
+        GraphClass.BIPARTITE: _two_colourable,
+        GraphClass.TRIANGLE_FREE_NONBIPARTITE: lambda g: not (
+            _has_triangle(g) or _two_colourable(g)
+        ),
+    }
+    small = [g for n in range(6) for g in labeled_graphs(n)]
+    for g in small + reduced_corpus:
+        for cls, oracle in expected.items():
+            assert cls.final_predicate(g) == oracle(g), (cls, g)
+
+
 def test_compatible_is_symmetric_and_matches_rank_oracle():
     for core in gen_cores(6, GraphClass.TRIANGLE_FREE):
-        cands = candidates(core)
+        cands = candidates(core, GraphClass.TRIANGLE_FREE)
         for i in range(min(len(cands), 8)):
             for j in range(i + 1, min(len(cands), 8)):
                 bit = compatible(core, cands[i], cands[j])
@@ -293,6 +362,19 @@ def test_max_extension_keeps_every_tied_optimum(r, cls):
             if len(s) == res.size
         ]
         assert list(res.optimal_sets) == tied
+
+
+@pytest.mark.parametrize("r", (4, 5, 6))
+@pytest.mark.parametrize("cls", (GraphClass.BIPARTITE, GraphClass.TRIANGLE_FREE_NONBIPARTITE))
+def test_bipartite_rule_keeps_exactly_the_matching_sets(r, cls):
+    """A class with a bipartiteness rule finds the triangle-free sets whose
+    completion obeys that rule, no more and no fewer, in the same order."""
+    for core in gen_cores(r, cls):
+        assert all_extensions(core, cls) == [
+            s
+            for s in all_extensions(core, GraphClass.TRIANGLE_FREE)
+            if (bipartition(complete(core, s)) is not None) == cls.bipartite
+        ]
 
 
 def test_colouring_helper_matches_bipartition(reduced_corpus):
@@ -466,9 +548,9 @@ def test_sharding_and_merge():
         for i in range(3)
     ]
     merged = merge_reports([p.to_payload() for p in parts])
-    assert merged["max_order"] == full.max_order
-    assert tuple(merged["extremal"]) == full.extremal
-    assert merged["cores_processed"] == full.cores_processed
+    single = full.to_payload()
+    del merged["elapsed_ms"], single["elapsed_ms"]
+    assert merged == single
     with pytest.raises(ValueError):
         enumerate_extremal(6, GraphClass.BIPARTITE, shards=2, shard_index=5)
 

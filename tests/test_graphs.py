@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +46,19 @@ def test_graph_invariants_enforced():
         Graph(1, (0b1,))  # self-loop
     with pytest.raises(ValueError):
         Graph(1, (0b10,))  # out of range
+
+
+def test_graph_rejects_every_single_row_bit_flip():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(2, 12)
+        g = random_graph(rng, n, rng.random())
+        assert Graph(n, g.adj) == g
+        v, u = rng.sample(range(n), 2)
+        rows = list(g.adj)
+        rows[v] ^= 1 << u
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(n, tuple(rows))
 
 
 def test_symmetric_difference_examples():

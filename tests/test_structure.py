@@ -51,6 +51,12 @@ def test_rank_drop_symdiff_examples():
         rank_drop_symdiff(p5, 2, 2)
 
 
+@pytest.mark.parametrize("u", (-1, 9))
+def test_rank_drop_symdiff_rejects_a_vertex_out_of_range(u):
+    with pytest.raises(IndexError):
+        rank_drop_symdiff(path_graph(5), u, 2)
+
+
 def test_rank_drop_universal_over_corpus(reduced_corpus):
     for g in reduced_corpus:
         rank_g = rank_exact(adjacency_matrix(g))
