@@ -151,15 +151,14 @@ def _cmd_lemma(args) -> int:
         lhs, rhs, holds = rank_drop_symdiff(g, args.u, args.v)
         print(f"rank(G-(N(u)^N(v)))={lhs} rank(G)-2={rhs} holds={str(holds).lower()}")
         return 0 if holds else COUNTEREXAMPLE
-    if args.which == "lov":
-        report = max_subgraph_below_rank(g, args.gap)
-        payload = report.to_payload()
-        payload["obstruction_free"] = obstruction_free(report)
-        text = dumps_report(payload)
-        _emit(text, args.report)
-        ok = all(v.ok for v in report.verdicts.values())
-        return 0 if ok else COUNTEREXAMPLE
-    raise ValueError(f"unknown lemma {args.which!r}")
+    # lov
+    report = max_subgraph_below_rank(g, args.gap)
+    payload = report.to_payload()
+    payload["obstruction_free"] = obstruction_free(report)
+    text = dumps_report(payload)
+    _emit(text, args.report)
+    ok = all(v.ok for v in report.verdicts.values())
+    return 0 if ok else COUNTEREXAMPLE
 
 
 def _parse_code(source: str) -> codes_mod.BinaryCode:
@@ -179,7 +178,10 @@ def _cmd_code(args) -> int:
     if args.which == "plotkin":
         g = _read_one_graph(args.input)
         if args.set:
-            s = mask_of(int(tok) for tok in args.set.split(","))
+            ids = [int(tok) for tok in args.set.split(",")]
+            if not all(0 <= v < g.n for v in ids):
+                raise IndexError("vertex index out of range")
+            s = mask_of(ids)
         else:
             _, s = independence_number(g)
         res = codes_mod.plotkin_bound_check(g, s)
@@ -193,17 +195,16 @@ def _cmd_code(args) -> int:
         res = codes_mod.rowspace_distance2_bound(code)
         print(f"size={len(code)} bound={res.bound} holds={str(res.holds).lower()}")
         return 0 if res.holds else COUNTEREXAMPLE
-    if args.which == "f2n-max":
-        if args.n is None:
-            raise ValueError("code f2n-max needs --n")
-        best, witness = codes_mod.rowspace_distance2_max(
-            args.n, use_theorem_cutoff=not args.no_cutoff
-        )
-        print(f"n={args.n} max_size={best} bound={5 * 2 ** (args.n - 4)}")
-        for line in witness.to_lines():
-            print(line)
-        return 0
-    raise ValueError(f"unknown code check {args.which!r}")
+    # f2n-max
+    if args.n is None:
+        raise ValueError("code f2n-max needs --n")
+    best, witness = codes_mod.rowspace_distance2_max(
+        args.n, use_theorem_cutoff=not args.no_cutoff
+    )
+    print(f"n={args.n} max_size={best} bound={5 * 2 ** (args.n - 4)}")
+    for line in witness.to_lines():
+        print(line)
+    return 0
 
 
 def _cmd_enumerate(args) -> int:

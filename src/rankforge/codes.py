@@ -123,6 +123,8 @@ def plotkin_bound_check(g: Graph, s: int) -> PlotkinCheck:
     |S|(n-|S|)/(2(|S|-1)), as an exact rational. A False result would be a
     theorem violation, not a property of the input.
     """
+    if s >> g.n:
+        raise IndexError("vertex index out of range")
     members = list(bits(s))
     if len(members) < 2:
         raise ValueError("independent set must have at least two vertices")
@@ -230,24 +232,24 @@ def rowspace_distance2_max(
     all-ones in the rational row space, with one maximizer.
 
     Branch and bound over words in ascending order. Pruning: incremental
-    rational feasibility (hereditary downward), a matching-based counting
-    bound, and optionally the proven 5*2^(n-4) cutoff (once the incumbent
-    attains it, nothing larger exists). The incumbent is seeded with the
-    constant-weight floor(n/2) code, which meets every hypothesis.
+    rational feasibility (hereditary downward) and a matching-based counting
+    bound. The incumbent is seeded with the constant-weight floor(n/2) code,
+    which meets every hypothesis; with the proven 5*2^(n-4) cutoff a seed
+    that attains the bound is returned without a search.
     """
     if not 5 <= n <= 6:
         raise ValueError("search is guarded to lengths 5 and 6")
     seed = _constant_weight_code(n, n // 2)
-    if not rowspace_distance2_bound(seed).holds:  # also validates the seed
+    check = rowspace_distance2_bound(seed)  # also validates the seed
+    if not check.holds:
         raise InternalError("the constant-weight seed code breaks the bound")
+    if use_theorem_cutoff and len(seed) == check.bound:
+        return len(seed), seed
     best_size = len(seed)
     best_words = list(seed.words)
-    theorem_bound = 5 * 2 ** (n - 4)
 
     def rec(chosen: list[int], basis, start: int):
         nonlocal best_size, best_words
-        if use_theorem_cutoff and best_size >= theorem_bound:
-            return
         if len(chosen) > best_size:
             best_size = len(chosen)
             best_words = chosen[:]
@@ -267,8 +269,6 @@ def rowspace_distance2_max(
             chosen.append(w)
             rec(chosen, nb, w + 1)
             chosen.pop()
-            if use_theorem_cutoff and best_size >= theorem_bound:
-                return
 
     rec([], [], 0)
     return best_size, BinaryCode(n, tuple(best_words))

@@ -328,13 +328,10 @@ class _Search:
                 classes.append(low)
         return len(classes)
 
-    def run(
-        self, floor: int = 0, max_size: int | None = None, maximize: bool = False
-    ) -> list[tuple[int, ...]]:
-        """Valid index sets (ascending) of size in [floor, max_size], or with
-        ``maximize`` the sets of the largest valid size."""
+    def run(self, floor: int = 0, maximize: bool = False) -> list[tuple[int, ...]]:
+        """Valid index sets (ascending) of size >= floor, or with ``maximize``
+        the sets of the largest valid size."""
         self.floor = floor
-        self.max_size = len(self.cands) if max_size is None else max_size
         self.maximize = maximize
         self.sets: list[tuple[int, ...]] = []
         colouring = None if self.bipartite is None else two_colouring(self.core.graph)
@@ -352,7 +349,7 @@ class _Search:
                 self.sets = []
             if size >= self.floor:
                 self.sets.append(tuple(chosen))
-        if size >= self.max_size or size + self._color_bound(pool) < self.floor:
+        if size + self._color_bound(pool) < self.floor:
             return
         shift = self.core.graph.n
         m = pool
@@ -404,11 +401,11 @@ def max_extension(core: Core, cls: GraphClass) -> ExtensionResult:
     )
 
 
-def all_extensions(core: Core, cls: GraphClass, min_size: int = 0, max_size=None):
-    """Every valid extension set with min_size <= |S| (<= max_size), as tuples
-    of candidates; used by the completeness oracle and the part-size theorem."""
+def all_extensions(core: Core, cls: GraphClass, min_size: int = 0):
+    """Every valid extension set with |S| >= min_size, as tuples of candidates;
+    used by the completeness oracle and the part-size theorem."""
     search = _Search(core, cls)
-    sets = search.run(floor=min_size, max_size=max_size)
+    sets = search.run(floor=min_size)
     return [tuple(search.cands[i] for i in s) for s in sets]
 
 
@@ -564,20 +561,15 @@ def enumerate_extremal(
     )
 
 
-def enumerate_all(
-    r: int, cls: GraphClass, min_order: int = 0, max_order: int | None = None
-) -> tuple[Graph, ...]:
-    """Every reduced rank-r class graph with order in [min_order, max_order],
-    one canonical representative per isomorphism class, sorted by graph6."""
+def enumerate_all(r: int, cls: GraphClass, min_order: int = 0) -> tuple[Graph, ...]:
+    """Every reduced rank-r class graph of order >= min_order, one canonical
+    representative per isomorphism class, sorted by graph6."""
     _rank_range_check(r)
     min_size = max(0, min_order - r)
-    max_size = None if max_order is None else max_order - r
-    if max_size is not None and max_size < 0:
-        return ()
     completions = (
         (core, s)
         for core in gen_cores(r, cls)
-        for s in all_extensions(core, cls, min_size=min_size, max_size=max_size)
+        for s in all_extensions(core, cls, min_size=min_size)
     )
     out = _emitted(r, cls, completions)
     return tuple(out[k] for k in sorted(out))

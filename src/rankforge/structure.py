@@ -223,77 +223,60 @@ def _build_report(
     )
 
 
+def _hit_masks(
+    g: Graph, pairs: tuple[tuple[int, int], ...], deleted: int
+) -> list[tuple[int, int, int]]:
+    """(w, once, first) for each deleted vertex w in ascending order: bit i of
+    ``once`` is set when w hits exactly one member of ``pairs[i]``, bit i of
+    ``first`` when it hits the first member."""
+    out = []
+    for w in bits(deleted):
+        row = g.adj[w]
+        once = first = 0
+        for i, (a, b) in enumerate(pairs):
+            hit_a, hit_b = row >> a & 1, row >> b & 1
+            once |= (hit_a ^ hit_b) << i
+            first |= hit_a << i
+        out.append((w, once, first))
+    return out
+
+
 def _label_deleted(g: Graph, classes: list[list[int]], deleted: int):
     """Orient each twin pair and split the deleted set into t1/t2 so t1 hits the
-    first pair element and t2 the second, for every pair. Works through each
-    deleted vertex's hit-pattern across classes: the labeling exists iff the
-    patterns take at most two values and those are complementary."""
-    pair_classes = [ms for ms in classes if len(ms) == 2]
-    if not pair_classes:
-        pairs = ()
-        return pairs, deleted, 0, Verdict(ok=True)
-
-    signatures: dict[int, tuple[int, ...]] = {}
-    for w in bits(deleted):
-        sig = []
-        for a, b in pair_classes:
-            hit_a = g.adj[w] >> a & 1
-            hit_b = g.adj[w] >> b & 1
-            if hit_a + hit_b != 1:
-                return (
-                    tuple(tuple(p) for p in pair_classes),
-                    0,
-                    0,
-                    Verdict(
-                        ok=False,
-                        witness=f"deleted vertex {w} hits {hit_a + hit_b} members "
-                        f"of class {{{a},{b}}}",
-                    ),
-                )
-            sig.append(hit_a)
-        signatures[w] = tuple(sig)
-
-    distinct = sorted(set(signatures.values()))
-    if len(distinct) > 2 or (
-        len(distinct) == 2
-        and any(x == y for x, y in zip(distinct[0], distinct[1]))
-    ):
-        return (
-            tuple(tuple(p) for p in pair_classes),
-            0,
-            0,
-            Verdict(ok=False, witness=f"incompatible hit patterns {distinct}"),
-        )
-    lead = signatures[next(bits(deleted))]
-    t1 = mask_of(w for w, sig in signatures.items() if sig == lead)
-    t2 = deleted & ~t1
-    pairs = tuple(
-        (a, b) if lead[i] else (b, a) for i, (a, b) in enumerate(pair_classes)
-    )
-    return pairs, t1, t2, Verdict(ok=True)
+    first pair element and t2 the second, for every pair. The labeling exists
+    iff every deleted vertex hits exactly one member of each pair and the
+    first-member hit patterns take at most two values, which are complements."""
+    pairs = tuple(tuple(ms) for ms in classes if len(ms) == 2)
+    full = (1 << len(pairs)) - 1
+    masks = _hit_masks(g, pairs, deleted)
+    for w, once, first in masks:
+        if once != full:
+            missed = full & ~once
+            i = (missed & -missed).bit_length() - 1  # first failing pair
+            a, b = pairs[i]
+            hits = (g.adj[w] >> a & 1) + (g.adj[w] >> b & 1)
+            witness = f"deleted vertex {w} hits {hits} members of class {{{a},{b}}}"
+            return pairs, 0, 0, Verdict(ok=False, witness=witness)
+    lead = masks[0][2]
+    firsts = {first for _, _, first in masks}
+    if not firsts <= {lead, lead ^ full}:
+        distinct = sorted(tuple(f >> i & 1 for i in range(len(pairs))) for f in firsts)
+        witness = f"incompatible hit patterns {distinct}"
+        return pairs, 0, 0, Verdict(ok=False, witness=witness)
+    t1 = mask_of(w for w, _, first in masks if first == lead)
+    oriented = tuple((a, b) if lead >> i & 1 else (b, a) for i, (a, b) in enumerate(pairs))
+    return oriented, t1, deleted & ~t1, Verdict(ok=True)
 
 
 def obstruction_free(report: StructureReport) -> bool:
     """True iff no two twin pairs and two deleted vertices realize the forbidden
     principal-submatrix pattern: the deleted pair agreeing on one twin class
-    while splitting another (which would force an extra rank drop)."""
-    g = report.host
-    deleted = list(bits(report.deleted()))
-    pairs = report.duplication_pairs
-    if len(pairs) < 2 or len(deleted) < 2:
-        return True
-    for wi in range(len(deleted)):
-        for wj in range(wi + 1, len(deleted)):
-            w1, w2 = deleted[wi], deleted[wj]
-            agree = []
-            for a, b in pairs:
-                h1 = (g.adj[w1] >> a & 1, g.adj[w1] >> b & 1)
-                h2 = (g.adj[w2] >> a & 1, g.adj[w2] >> b & 1)
-                if h1[0] + h1[1] != 1 or h2[0] + h2[1] != 1:
-                    agree.append(None)  # not an exactly-one pattern; ignore
-                else:
-                    agree.append(h1 == h2)
-            flags = [a for a in agree if a is not None]
-            if True in flags and False in flags:
-                return False
+    while splitting another (which would force an extra rank drop). Only pairs
+    that both vertices hit exactly once count."""
+    masks = _hit_masks(report.host, report.duplication_pairs, report.deleted())
+    for (_, once1, first1), (_, once2, first2) in combinations(masks, 2):
+        both = once1 & once2
+        split = (first1 ^ first2) & both
+        if split not in (0, both):
+            return False
     return True

@@ -158,6 +158,93 @@ def test_code_subcommands(capsys, monkeypatch):
     assert code == 0 and "max_size=10" in out
 
 
+def test_code_plotkin_defaults_to_a_maximum_independent_set(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        capsys,
+        ["code", "plotkin", "-"],
+        stdin_text=to_graph6(subset_incidence_graph(2)) + "\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0 and out == "set_size=3 bound=3/2 min_symdiff=1 holds=true\n"
+
+
+@pytest.mark.parametrize("ids", ("3,4,9", "0,-1"))
+def test_code_plotkin_rejects_a_vertex_out_of_range(capsys, monkeypatch, ids):
+    code, out, err = run_cli(
+        capsys,
+        ["code", "plotkin", "-", "--set", ids],
+        stdin_text=to_graph6(subset_incidence_graph(2)) + "\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == "" and err == "error: vertex index out of range\n"
+
+
+def test_check_reduced_and_construct_o(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, ["construct", "O", "--param", "3"])
+    assert code == 0 and out == "FCOf?\n"
+    for g6, want in (("FCOf?", "true"), ("B_", "false")):
+        code, out, _ = run_cli(
+            capsys, ["check", "reduced", "-"], stdin_text=g6 + "\n", monkeypatch=monkeypatch
+        )
+        assert code == 0 and out == want + "\n"
+
+
+def test_graph6_is_read_from_a_file_path(capsys, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_text(to_graph6(cycle_graph(5)) + "\n\n" + to_graph6(path_graph(5)) + "\n")
+    code, out, _ = run_cli(capsys, ["rank", str(path)])
+    assert code == 0 and out == "5\n4\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, message",
+    [
+        (["rank", "-"], "", "no graph6 input"),
+        (["lemma", "lov", "-"], "Dhc\nDhc\n", "expected exactly one graph6 line"),
+        (["lemma", "neighborhood", "-"], "Dhc\n", "lemma neighborhood needs --v"),
+        (["lemma", "symdiff", "-", "--v", "2"], "Dhc\n", "lemma symdiff needs --u and --v"),
+    ],
+    ids=["empty", "two-graphs", "no-v", "no-u"],
+)
+def test_input_and_option_errors(capsys, monkeypatch, argv, stdin_text, message):
+    code, out, err = run_cli(capsys, argv, stdin_text=stdin_text, monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", ("1", "2"))
+@pytest.mark.parametrize(
+    "rank, cls, lines",
+    [
+        ("6", "bi", [f"core {i}/7: best so far 10" for i in range(1, 8)]),
+        ("4", "tfnb", ["core 1/2: best so far none", "core 2/2: best so far none"]),
+    ],
+)
+def test_enumerate_progress_lines(capsys, rank, cls, lines, jobs):
+    code, _, err = run_cli(
+        capsys, ["enumerate", "--rank", rank, "--class", cls, "--jobs", jobs, "--progress"]
+    )
+    assert code == 0 and err.splitlines() == lines
+
+
+def test_merge_that_disagrees_with_the_rank_is_a_usage_error(capsys, tmp_path):
+    shard = tmp_path / "r5.json"
+    code, _, _ = run_cli(
+        capsys,
+        ["enumerate", "--rank", "5", "--class", "tf", "--jobs", "1", "--report", str(shard)],
+    )
+    assert code == 0
+    out_path = tmp_path / "merged.json"
+    code, _, err = run_cli(
+        capsys,
+        [
+            "enumerate", "--rank", "6", "--class", "tf",
+            "--merge", str(shard), "--report", str(out_path),
+        ],
+    )
+    assert code == 2 and err == "error: merge inputs disagree with --rank/--class\n"
+    assert not out_path.exists()
+
+
 def test_enumerate_report_and_merge(capsys, tmp_path):
     report_path = tmp_path / "r5.json"
     code, out, _ = run_cli(

@@ -131,6 +131,11 @@ def test_plotkin_examples():
         plotkin_bound_check(c5, 1 << 0)  # too small
 
 
+def test_plotkin_rejects_a_vertex_out_of_range():
+    with pytest.raises(IndexError, match="vertex index out of range"):
+        plotkin_bound_check(cycle_graph(5), mask_of((0, 5)))
+
+
 def test_plotkin_universal_over_corpus(reduced_corpus):
     """The independent-set bound over every independent set of every corpus
     graph: zero violations."""

@@ -327,7 +327,9 @@ def test_compatible_is_symmetric_and_matches_rank_oracle():
 def test_completions_keep_rank():
     seen = 0
     for core in gen_cores(6, GraphClass.TRIANGLE_FREE):
-        for cand_set in all_extensions(core, GraphClass.TRIANGLE_FREE, max_size=2):
+        for cand_set in all_extensions(core, GraphClass.TRIANGLE_FREE):
+            if len(cand_set) > 2:
+                continue
             g = complete(core, cand_set)
             assert rank_exact(adjacency_matrix(g)) == 6
             assert is_reduced(g)
@@ -553,6 +555,14 @@ def test_sharding_and_merge():
     assert merged == single
     with pytest.raises(ValueError):
         enumerate_extremal(6, GraphClass.BIPARTITE, shards=2, shard_index=5)
+
+
+def test_merge_needs_shards_of_one_rank_and_class():
+    with pytest.raises(ValueError, match="nothing to merge"):
+        merge_reports([])
+    parts = [enumerate_extremal(r, GraphClass.TRIANGLE_FREE).to_payload() for r in (4, 5)]
+    with pytest.raises(ValueError, match="disagree on rank or class"):
+        merge_reports(parts)
 
 
 @pytest.mark.parametrize("shards, shard_index", [(None, 0), (2, None)])
