@@ -12,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, InternalError, mask_of, relabel
+from .graphs import Graph, InternalError, bits, relabel
 
 Perm = tuple[int, ...]
 
@@ -31,29 +31,41 @@ class CanonicalForm:
         return _group_order(self.n, self.generators)
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    """Equitable refinement; cell order depends only on invariants, so the
-    procedure commutes with relabeling."""
-    queue = deque(mask_of(c) for c in cells)
-    while queue:
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Equitable refinement of the ordered partition ``cells`` (vertex masks)
+    by ``splitters`` and then by each new cell, first in first out. Cell order
+    depends only on invariants, so the procedure commutes with relabeling.
+
+    No pass that cannot split is run. The caller queues only the splitters
+    that can split: once they are used, the partition must be equitable with
+    respect to every other cell. Equitability persists under refinement, so
+    the last subcell of a split is not queued (its counts are the parent
+    cell's minus its siblings', which are all used before it would be), and
+    the loop stops at a discrete partition."""
+    n = len(adj)
+    queue = deque(splitters)
+    while queue and len(cells) < n:
         splitter = queue.popleft()
-        new_cells: list[list[int]] = []
+        new_cells: list[int] = []
         changed = False
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & (cell - 1):
                 new_cells.append(cell)
                 continue
-            groups: dict[int, list[int]] = {}
-            for v in cell:
-                groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                key = (adj[low.bit_length() - 1] & splitter).bit_count()
+                groups[key] = groups.get(key, 0) | low
+                rest ^= low
             if len(groups) == 1:
                 new_cells.append(cell)
                 continue
             changed = True
-            for key in sorted(groups):
-                sub = groups[key]
-                new_cells.append(sub)
-                queue.append(mask_of(sub))
+            keys = sorted(groups)
+            new_cells += [groups[key] for key in keys]
+            queue += [groups[key] for key in keys[:-1]]
         if changed:
             cells = new_cells
     return cells
@@ -153,11 +165,11 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
     best_inv: Perm | None = None
     gens: list[Perm] = []
 
-    def leaf(cells: list[list[int]]):
+    def leaf(cells: list[int]):
         nonlocal best_cert, best_perm, best_inv
         perm = [0] * n
         for pos, cell in enumerate(cells):
-            perm[cell[0]] = pos
+            perm[cell.bit_length() - 1] = pos
         perm_t = tuple(perm)
         cert = _cert_bits(adj, perm_t, n)
         if best_cert is None or cert > best_cert:
@@ -168,12 +180,12 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
             if auto not in gens:
                 gens.append(auto)
 
-    def rec(cells: list[list[int]], prefix: list[int]):
+    def rec(cells: list[int], prefix: list[int]):
         if len(cells) == n:
             leaf(cells)
             return
-        size = max(len(c) for c in cells)
-        ti = next(i for i, c in enumerate(cells) if len(c) == size)
+        size = max(c.bit_count() for c in cells)
+        ti = next(i for i, c in enumerate(cells) if c.bit_count() == size)
         cell = cells[ti]
         done: list[int] = []
         # Orbits of the known automorphisms that fix the prefix, updated only
@@ -181,7 +193,7 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
         fixing: list[Perm] = []
         seen = 0
         orb: list[int] | None = None
-        for v in cell:
+        for v in bits(cell):
             if done and len(gens) > seen:
                 new = [g for g in gens[seen:] if all(g[p] == p for p in prefix)]
                 seen = len(gens)
@@ -192,11 +204,13 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
             if orb is not None and any(orb[v] == orb[u] for u in done):
                 done.append(v)
                 continue
-            split = cells[:ti] + [[v], [u for u in cell if u != v]] + cells[ti + 1:]
-            rec(_refine(adj, split), prefix + [v])
+            # The partition was equitable, so only the new singleton can split.
+            split = cells[:ti] + [1 << v, cell ^ (1 << v)] + cells[ti + 1:]
+            rec(_refine(adj, split, [1 << v]), prefix + [v])
             done.append(v)
 
-    rec(_refine(adj, [list(range(n))]) if n else [], [])
+    full = (1 << n) - 1
+    rec(_refine(adj, [full], [full]) if n else [], [])
     if n == 0:
         return b"", (), []
     if best_cert is None or best_perm is None:

@@ -178,7 +178,15 @@ def _cmd_code(args) -> int:
     if args.which == "plotkin":
         g = _read_one_graph(args.input)
         if args.set:
-            ids = [int(tok) for tok in args.set.split(",")]
+            ids: list[int] = []
+            for tok in args.set.split(","):
+                try:
+                    v = int(tok)
+                except ValueError:
+                    raise ValueError(f"--set token {tok!r} is not a vertex id") from None
+                if v in ids:
+                    raise ValueError(f"--set repeats vertex {v}")
+                ids.append(v)
             if not all(0 <= v < g.n for v in ids):
                 raise IndexError("vertex index out of range")
             s = mask_of(ids)

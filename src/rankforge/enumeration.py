@@ -494,12 +494,67 @@ def _assert_sound(g: Graph, r: int, cls: GraphClass):
         raise InternalError("emitted graph has a triangle")
 
 
-def _emitted(r: int, cls: GraphClass, completions) -> dict[str, Graph]:
-    """Canonical graph6 -> canonical graph of every (core, extension set); each
-    distinct graph is re-checked after canonicalization, as it is written out."""
+def _orbit_firsts(core: Core, sets):
+    """The first set of each orbit of Aut(core) on ``sets``, in order.
+
+    An automorphism s of the core maps candidates to candidates (it keeps
+    b^T adj(A) b, independence in the core and the core rows) and a valid set
+    S to a valid set s(S) of the same size, with complete(core, S) isomorphic
+    to complete(core, s(S)); so ``sets``, all valid sets of some sizes, is a
+    union of orbits, and one completion per orbit stands for all of them. A
+    set is keyed by the int with bit b set for each vector b in it."""
+    if not sets:
+        return
+    r, adj = core.graph.n, core.graph.adj
+    images = []  # per generator: the image of every core vertex mask
+    for perm in canonical_form(core.graph).generators:
+        img = [0] * (1 << r)
+        for m in range(1, 1 << r):
+            low = m & -m
+            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
+        if any(img[adj[v]] != adj[perm[v]] for v in range(r)):
+            raise InternalError("core generator is not an automorphism")
+        images.append(img)
+    seen: set[int] = set()
+    for s in sets:
+        key = 0
+        for cand in s:
+            key |= 1 << cand.vector
+        if key in seen:
+            continue
+        yield s
+        seen.add(key)
+        stack = [key]
+        while stack:
+            cur = stack.pop()
+            for img in images:
+                image = 0
+                rest = cur
+                while rest:
+                    low = rest & -rest
+                    image |= 1 << img[low.bit_length() - 1]
+                    rest ^= low
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
+
+
+def _emitted(r: int, cls: GraphClass, per_core) -> dict[str, Graph]:
+    """Canonical graph6 -> canonical graph of the completions of every
+    (core, extension sets) pair; each distinct graph is re-checked after
+    canonicalization, as it is written out.
+
+    One completion per Aut(core) orbit is labeled, and distinct graphs are
+    keyed by certificate: equal certificates mean isomorphic graphs, and the
+    canonical graph is a function of (n, cert)."""
+    firsts: dict[tuple[int, bytes], Graph] = {}
+    for core, sets in per_core:
+        for s in _orbit_firsts(core, sets):
+            g = complete(core, s)
+            firsts.setdefault((g.n, canonical_form(g).cert), g)
     out: dict[str, Graph] = {}
-    for core, cand_set in completions:
-        cg = canonical_graph(complete(core, cand_set))
+    for g in firsts.values():
+        cg = canonical_graph(g)
         out[to_graph6(cg)] = cg
     for g in out.values():
         _assert_sound(g, r, cls)
@@ -547,7 +602,7 @@ def enumerate_extremal(
                 )
 
     winners = [(core, res) for core, res in zip(cores, results) if res.size == best_size]
-    extremal = _emitted(r, cls, ((c, s) for c, res in winners for s in res.optimal_sets))
+    extremal = _emitted(r, cls, ((c, res.optimal_sets) for c, res in winners))
     max_order = r + best_size if best_size >= 0 else 0
     return EnumerationReport(
         rank=r,
@@ -566,12 +621,10 @@ def enumerate_all(r: int, cls: GraphClass, min_order: int = 0) -> tuple[Graph, .
     representative per isomorphism class, sorted by graph6."""
     _rank_range_check(r)
     min_size = max(0, min_order - r)
-    completions = (
-        (core, s)
-        for core in gen_cores(r, cls)
-        for s in all_extensions(core, cls, min_size=min_size)
+    per_core = (
+        (core, all_extensions(core, cls, min_size=min_size)) for core in gen_cores(r, cls)
     )
-    out = _emitted(r, cls, completions)
+    out = _emitted(r, cls, per_core)
     return tuple(out[k] for k in sorted(out))
 
 

@@ -46,7 +46,7 @@ def rank_drop_neighborhood(g: Graph, v: int) -> tuple[int, int, bool]:
     every reduced graph."""
     _require_reduced(g)
     if not 0 <= v < g.n:
-        raise IndexError("vertex out of range")
+        raise IndexError("vertex index out of range")
     return _rank_drop(g, g.adj[v])
 
 

@@ -1,10 +1,12 @@
 import math
 import random
+from collections import deque
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rankforge import canonical
 from rankforge.canonical import (
     Graph6Error,
     _cert_bits,
@@ -15,7 +17,8 @@ from rankforge.canonical import (
     to_graph6,
 )
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
-from rankforge.graphs import Graph, cycle_graph, from_edges, path_graph, relabel
+from rankforge.enumeration import graphs_of_order
+from rankforge.graphs import Graph, bits, cycle_graph, from_edges, mask_of, path_graph, relabel
 
 from conftest import random_graph
 
@@ -178,3 +181,53 @@ def test_packed_cert_matches_bitwise_reference():
         perm = list(range(n))
         rng.shuffle(perm)
         assert _cert_bits(g.adj, tuple(perm), n) == _cert_bits_reference(g.adj, perm, n)
+
+
+def _refine_reference(adj, cells):
+    """Equitable refinement on vertex lists that queues every cell and every
+    subcell, first in first out, with no pass skipped."""
+    queue = deque(mask_of(c) for c in cells)
+    while queue:
+        splitter = queue.popleft()
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                groups.setdefault((adj[v] & splitter).bit_count(), []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            changed = True
+            for key in sorted(groups):
+                new_cells.append(groups[key])
+                queue.append(mask_of(groups[key]))
+        if changed:
+            cells = new_cells
+    return cells
+
+
+def test_refinement_matches_the_reference_that_queues_every_cell(monkeypatch):
+    # Skipped splitter passes must leave every ordered partition, and so every
+    # certificate, as the reference that runs them all produces it.
+    graphs = [g for n in range(1, 9) for g in graphs_of_order(n, "triangle-free")]
+    rng = random.Random(1301)
+    graphs += [random_graph(rng, rng.randint(2, 16), rng.random()) for _ in range(300)]
+    real = canonical._refine
+    calls = 0
+
+    def checked(adj, cells, splitters):
+        nonlocal calls
+        calls += 1
+        got = real(adj, cells, splitters)
+        want = _refine_reference(adj, [list(bits(c)) for c in cells])
+        assert [list(bits(c)) for c in got] == want
+        return got
+
+    monkeypatch.setattr(canonical, "_refine", checked)
+    for g in graphs:
+        canonical_form(g)
+    assert calls > len(graphs)

@@ -179,6 +179,32 @@ def test_code_plotkin_rejects_a_vertex_out_of_range(capsys, monkeypatch, ids):
     assert code == 2 and out == "" and err == "error: vertex index out of range\n"
 
 
+@pytest.mark.parametrize(
+    "ids, message",
+    [("0,a", "--set token 'a' is not a vertex id"), ("1,1,2", "--set repeats vertex 1")],
+    ids=["not-an-integer", "repeated"],
+)
+def test_code_plotkin_rejects_a_malformed_set(capsys, monkeypatch, ids, message):
+    code, out, err = run_cli(
+        capsys,
+        ["code", "plotkin", "-", "--set", ids],
+        stdin_text=to_graph6(subset_incidence_graph(2)) + "\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("v", ("-1", "9"))
+def test_lemma_neighborhood_rejects_a_vertex_out_of_range(capsys, monkeypatch, v):
+    code, out, err = run_cli(
+        capsys,
+        ["lemma", "neighborhood", "-", "--v", v],
+        stdin_text=to_graph6(subset_incidence_graph(2)) + "\n",
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2 and out == "" and err == "error: vertex index out of range\n"
+
+
 def test_check_reduced_and_construct_o(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["construct", "O", "--param", "3"])
     assert code == 0 and out == "FCOf?\n"

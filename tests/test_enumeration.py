@@ -520,6 +520,102 @@ def test_emitted_graphs_are_rechecked_after_canonicalization(monkeypatch):
         enumerate_extremal(6, GraphClass.BIPARTITE)
 
 
+def _group_elements(gens, n):
+    """Every element of the permutation group generated by ``gens``."""
+    identity = tuple(range(n))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in elements:
+                elements.add(q)
+                frontier.append(q)
+    return elements
+
+
+def _per_core_sets(r, cls, extremal):
+    """(core, sets) pairs as enumerate_all or enumerate_extremal emit them."""
+    if not extremal:
+        return [(core, all_extensions(core, cls)) for core in gen_cores(r, cls)]
+    results = [(core, max_extension(core, cls)) for core in gen_cores(r, cls)]
+    best = max(res.size for _, res in results)
+    return [(core, res.optimal_sets) for core, res in results if res.size == best]
+
+
+@pytest.mark.parametrize(
+    "cls, extremal",
+    [
+        (GraphClass.BIPARTITE, False),
+        (GraphClass.TRIANGLE_FREE, False),
+        (GraphClass.TRIANGLE_FREE_NONBIPARTITE, True),
+    ],
+)
+def test_one_completion_is_built_per_core_automorphism_orbit(monkeypatch, cls, extremal):
+    from itertools import permutations
+
+    from rankforge import enumeration
+    from rankforge.graphs import relabel
+
+    r = 6
+    per_core = _per_core_sets(r, cls, extremal)
+    # Reference: canonicalize every (core, set) pair.
+    want = sorted(
+        {to_graph6(canonical_graph(complete(c, s))) for c, sets in per_core for s in sets}
+    )
+    # Orbits of each core's automorphism group, applying every group element.
+    orbits = 0
+    for core, sets in per_core:
+        group = _group_elements(canonical_form(core.graph).generators, r)
+        autos = [p for p in permutations(range(r)) if relabel(core.graph, p) == core.graph]
+        assert group == set(autos)
+        keys = {frozenset(c.vector for c in s) for s in sets}
+        orbits += len(
+            {min(tuple(sorted(mask_of(p[v] for v in bits(b)) for b in key)) for p in group)
+             for key in keys}
+        )
+    assert orbits < sum(len(sets) for _, sets in per_core)
+
+    real_complete = enumeration.complete
+    built = 0
+
+    def counting_complete(core, cands):
+        nonlocal built
+        built += 1
+        return real_complete(core, cands)
+
+    monkeypatch.setattr(enumeration, "complete", counting_complete)
+    if extremal:
+        got = list(enumerate_extremal(r, cls, jobs=1).extremal)
+    else:
+        got = [to_graph6(g) for g in enumeration.enumerate_all(r, cls)]
+    assert got == want
+    assert built == orbits
+
+
+def test_a_core_generator_that_is_not_an_automorphism_is_an_internal_error(monkeypatch):
+    from dataclasses import replace
+
+    from rankforge import enumeration
+    from rankforge.graphs import InternalError, relabel
+
+    real_form = enumeration.canonical_form
+
+    def with_a_wrong_generator(g):
+        cf = real_form(g)
+        swaps = (
+            tuple(j if v == i else i if v == j else v for v in range(g.n))
+            for i in range(g.n)
+            for j in range(i + 1, g.n)
+        )
+        wrong = next(p for p in swaps if relabel(g, p) != g)
+        return replace(cf, generators=cf.generators + (wrong,))
+
+    monkeypatch.setattr(enumeration, "canonical_form", with_a_wrong_generator)
+    with pytest.raises(InternalError, match="core generator is not an automorphism"):
+        enumeration.enumerate_all(6, GraphClass.BIPARTITE)
+
+
 def test_traced_names_resolve_on_enumeration():
     import importlib.util
 
