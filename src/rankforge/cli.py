@@ -250,6 +250,17 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else COUNTEREXAMPLE
 
 
+def _job_count(token: str) -> int:
+    """``--jobs`` value: a worker count of at least 1."""
+    try:
+        jobs = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankforge",
@@ -304,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="extremal-order report for a rank and class")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--class", dest="graph_class", required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
+    p.add_argument("--jobs", type=_job_count, default=os.cpu_count())
     p.add_argument("--report")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--shards", type=int)
@@ -315,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a headline theorem at desk scale")
     p.add_argument("--theorem", choices=["main", "bi", "bigen", "remark"], required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
+    p.add_argument("--jobs", type=_job_count, default=os.cpu_count())
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import repeat
+from operator import add
 
 from .canonical import CanonicalForm, canonical_form, canonical_graph, to_graph6
 from .constructions import (
@@ -117,58 +118,82 @@ _HEREDITARY = {
 # ---------------------------------------------------------------------------
 
 
-def _subset_orbit_reps(k: int, gens, min_size: int) -> list[int]:
-    """Smallest representative of each orbit of the vertex subsets of size at
-    least ``min_size`` under the group generated by ``gens`` (vertex
-    permutations of a k-vertex graph); orbits preserve size."""
-    if not gens:
-        return [m for m in range(1 << k) if m.bit_count() >= min_size]
-    reps = []
-    seen = bytearray(1 << k)
-    for m in range(1 << k):
-        if seen[m] or m.bit_count() < min_size:
-            continue
-        reps.append(m)
-        seen[m] = 1
-        stack = [m]
-        while stack:
-            cur = stack.pop()
-            for g in gens:
-                img = 0
-                mm = cur
-                while mm:
-                    low = mm & -mm
-                    img |= 1 << g[low.bit_length() - 1]
-                    mm ^= low
-                if not seen[img]:
-                    seen[img] = 1
-                    stack.append(img)
-    return reps
+def _opposite_sides(g: Graph) -> list[int]:
+    """Per vertex, the other side of its component in ``two_colouring(g)``."""
+    out = [0] * g.n
+    for side, other in two_colouring(g):
+        for v in bits(side):
+            out[v] = other
+        for v in bits(other):
+            out[v] = side
+    return out
+
+
+# Per hereditary class: conflicts[v] is the set of vertices that may not share
+# the neighbourhood of a new vertex with v if the grown graph is to stay in the
+# class (given that g is in it): adjacent vertices would close a triangle, and
+# opposite sides of one component an odd cycle.
+_CONFLICTS = {
+    "all": lambda g: [0] * g.n,
+    "triangle-free": lambda g: g.adj,
+    "bipartite": _opposite_sides,
+}
+
+
+def _admissible(k: int, conflicts) -> list[int]:
+    """Every vertex mask over k vertices with no two conflicting members, in
+    ascending order. The family is closed under subsets, so it grows one
+    vertex at a time: the masks over vertices < v, then each of them that
+    admits v with v added (all larger than the first part)."""
+    out = [0]
+    for v in range(k):
+        bit, clash = 1 << v, conflicts[v]
+        out += [m | bit for m in out if not m & clash]
+    return out
 
 
 @lru_cache(maxsize=None)
 def _level(pred_name: str, n: int) -> tuple[tuple[Graph, CanonicalForm], ...]:
     """All graphs on exactly n vertices satisfying the hereditary predicate,
     one per isomorphism class, each with its canonical form."""
-    pred = _HEREDITARY[pred_name]
     if n == 1:
-        k1 = Graph(1, (0,))
-        return ((k1, canonical_form(k1)),) if pred(k1) else ()
+        k1 = Graph(1, (0,))  # in every class
+        return ((k1, canonical_form(k1)),)
     out = []
     for parent, pform in _level(pred_name, n - 1):
         degrees = [row.bit_count() for row in parent.adj]
         top = max(degrees)
         top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
-        for nb in _subset_orbit_reps(parent.n, pform.generators, top):
+        gens = pform.generators
+        seen = bytearray(1 << parent.n) if gens else None
+        # Only neighbourhoods that keep the child in the class. Both that and
+        # the degree test below are invariant under Aut(parent), so an orbit
+        # fails them as a whole, and its smallest member is the first seen.
+        for nb in _admissible(parent.n, _CONFLICTS[pred_name](parent)):
             # Refinement first orders cells by ascending degree, so the last
             # canonical position has maximum degree, and orbits keep degrees:
             # the child can pass the orbit test only if the added vertex has
             # the child's maximum degree (each vertex in nb gains one).
             if nb.bit_count() < top + bool(nb & top_mask):
                 continue
+            if gens:
+                if seen[nb]:
+                    continue
+                seen[nb] = 1
+                stack = [nb]
+                while stack:
+                    cur = stack.pop()
+                    for g in gens:
+                        img = 0
+                        mm = cur
+                        while mm:
+                            low = mm & -mm
+                            img |= 1 << g[low.bit_length() - 1]
+                            mm ^= low
+                        if not seen[img]:
+                            seen[img] = 1
+                            stack.append(img)
             child = add_vertex(parent, nb)
-            if not pred(child):
-                continue
             cf = canonical_form(child)
             # Accept the child only when the added vertex sits in the same
             # orbit as the canonical deletion vertex (last canonical position).
@@ -185,11 +210,13 @@ def graphs_of_order(n: int, hereditary_name: str) -> tuple[Graph, ...]:
 
 @dataclass(frozen=True)
 class Core:
-    """An r-vertex graph with nonsingular adjacency, plus det and adjugate."""
+    """An r-vertex graph with nonsingular adjacency, plus det and adjugate,
+    and generators of its automorphism group."""
 
     graph: Graph
     det: int
     adjug: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
 
 
 def _rank_range_check(r: int):
@@ -204,11 +231,16 @@ def gen_cores(r: int, cls: GraphClass):
     """One core per isomorphism class: class graphs on r vertices with
     nonsingular adjacency matrix."""
     _rank_range_check(r)
-    for g in graphs_of_order(r, cls.hereditary_name):
+    name = cls.hereditary_name
+    # graphs_of_order lists the level's graphs, in the level's order.
+    for g, (_, form) in zip(graphs_of_order(r, name), _level(name, r)):
+        if 0 in g.adj or len(set(g.adj)) < r:
+            continue  # a zero row or two equal rows: singular
         a = adjacency_matrix(g)
         d = det_exact(a)
         if d:
-            yield Core(graph=g, det=d, adjug=tuple(tuple(row) for row in adjugate(a)))
+            adjug = tuple(tuple(row) for row in adjugate(a))
+            yield Core(graph=g, det=d, adjug=adjug, generators=form.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -228,21 +260,25 @@ def candidates(core: Core, cls: GraphClass) -> tuple[ExtensionCandidate, ...]:
     """All nonzero b (not equal to a core row) with b^T adj(A) b == 0, in
     ascending vector order; in a triangle-constrained class only the b that
     are independent in the core."""
-    r = core.graph.n
-    adj = core.graph.adj
-    rows = set(adj)
+    g = core.graph
+    rows = set(g.adj)
     # A core triangle through an extension needs two adjacent core vertices
     # in b, so triangle-constrained candidates must be independent sets.
-    independent = cls.triangle_constrained
+    conflicts = _CONFLICTS["triangle-free" if cls.triangle_constrained else "all"](g)
+    columns = list(zip(*core.adjug))
+    # b -> (y, q) with y = adj(A) b and q = b^T y, built from b minus its
+    # lowest vertex i: y gains column i, q gains 2 y_i + adj(A)_ii (adj(A)
+    # is symmetric).
+    forms = {0: ((0,) * g.n, 0)}
     out = []
-    for b in range(1, 1 << r):
-        if b in rows:
-            continue
-        members = list(bits(b))
-        if independent and any(adj[i] & b for i in members):
-            continue
-        y = tuple(sum(core.adjug[j][i] for i in members) for j in range(r))
-        if sum(y[j] for j in members) == 0:
+    for b in _admissible(g.n, conflicts)[1:]:
+        low = b & -b
+        i = low.bit_length() - 1
+        y, q = forms[b ^ low]
+        q += 2 * y[i] + columns[i][i]
+        y = tuple(map(add, y, columns[i]))
+        forms[b] = y, q
+        if q == 0 and b not in rows:
             out.append(ExtensionCandidate(vector=b, image=y))
     return tuple(out)
 
@@ -507,7 +543,7 @@ def _orbit_firsts(core: Core, sets):
         return
     r, adj = core.graph.n, core.graph.adj
     images = []  # per generator: the image of every core vertex mask
-    for perm in canonical_form(core.graph).generators:
+    for perm in core.generators:
         img = [0] * (1 << r)
         for m in range(1, 1 << r):
             low = m & -m

@@ -338,6 +338,14 @@ def test_usage_errors(capsys):
     assert code == 2 and "RANKFORGE_MAX_R" in err
 
 
+@pytest.mark.parametrize("command", (["enumerate", "--rank", "5", "--class", "tf"],
+                                     ["verify", "--theorem", "bi", "--r", "4"]))
+@pytest.mark.parametrize("jobs", ("0", "-3", "two"))
+def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
+    code, out, err = run_cli(capsys, [*command, "--jobs", jobs])
+    assert code == 2 and out == "" and "argument --jobs" in err
+
+
 def test_f2n_max_without_length_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, ["code", "f2n-max"])
     assert code == 2 and out == "" and err == "error: code f2n-max needs --n\n"

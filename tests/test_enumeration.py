@@ -18,10 +18,11 @@ from rankforge.canonical import (
 )
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
 from rankforge.enumeration import (
+    _CONFLICTS,
     _HEREDITARY,
     GraphClass,
+    _admissible,
     _level,
-    _subset_orbit_reps,
     all_extensions,
     candidates,
     compatible,
@@ -111,6 +112,11 @@ def test_triangle_free_counts_to_nine():
     assert got == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 
 
+@pytest.mark.extended
+def test_triangle_free_count_at_ten():
+    assert len(graphs_of_order(10, "triangle-free")) == 12172  # OEIS A006785
+
+
 @pytest.mark.parametrize(
     "name,counts",
     [
@@ -156,17 +162,39 @@ def test_generation_matches_networkx_atlas(name):
         assert len(matched) == len(gen) == sum(len(b) for b in buckets.values())
 
 
+def _subset_orbit_reps(k, gens):
+    """Smallest member of each orbit of the group generated by ``gens`` on
+    all 2^k vertex subsets of a k-vertex graph, in ascending order."""
+    reps = []
+    seen = set()
+    for m in range(1 << k):
+        if m in seen:
+            continue
+        reps.append(m)
+        seen.add(m)
+        stack = [m]
+        while stack:
+            cur = stack.pop()
+            for g in gens:
+                img = mask_of(g[v] for v in bits(cur))
+                if img not in seen:
+                    seen.add(img)
+                    stack.append(img)
+    return reps
+
+
 @pytest.mark.parametrize(
     "name,top", [("all", 7), ("triangle-free", 8), ("bipartite", 7)]
 )
 def test_degree_pretest_rejects_only_what_the_orbit_test_rejects(name, top):
     # Reference: the level built with a full canonical labeling of every
-    # child that passes the class predicate, as before the degree pre-test.
+    # child that passes the class predicate, over one neighbourhood per orbit
+    # of all 2^k subsets, as before the conflict rule and the degree pre-test.
     pred = _HEREDITARY[name]
     for n in range(2, top + 1):
         accepted = []
         for parent, pform in _level(name, n - 1):
-            for nb in _subset_orbit_reps(parent.n, pform.generators, 0):
+            for nb in _subset_orbit_reps(parent.n, pform.generators):
                 child = add_vertex(parent, nb)
                 if not pred(child):
                     continue
@@ -180,6 +208,17 @@ def test_degree_pretest_rejects_only_what_the_orbit_test_rejects(name, top):
                 if passes:
                     accepted.append((child, cf))
         assert _level(name, n) == tuple(accepted)
+
+
+@pytest.mark.parametrize("name", sorted(_HEREDITARY))
+def test_admissible_masks_are_the_neighbourhoods_the_predicate_accepts(name):
+    # Brute force: every mask over each parent with at most 6 vertices,
+    # filtered by the class predicate on the whole child.
+    pred = _HEREDITARY[name]
+    for n in range(1, 7):
+        for parent, _ in _level(name, n):
+            brute = [m for m in range(1 << n) if pred(add_vertex(parent, m))]
+            assert _admissible(n, _CONFLICTS[name](parent)) == brute, parent
 
 
 def test_level_certificates_match_golden_digest():
@@ -278,6 +317,33 @@ def test_candidates_match_bordered_rank_oracle(r):
                     assert sum(a[i][j] * c.image[j] for j in range(r)) == det * (
                         c.vector >> i & 1
                     )
+
+
+def _candidates_by_column_sums(core, cls):
+    """(b, adj(A) b) for every candidate b, each image summed afresh from the
+    adjugate columns of b's members."""
+    r, adj = core.graph.n, core.graph.adj
+    out = []
+    for b in range(1, 1 << r):
+        members = list(bits(b))
+        if b in adj or (cls.triangle_constrained and any(adj[i] & b for i in members)):
+            continue
+        y = tuple(sum(core.adjug[j][i] for i in members) for j in range(r))
+        if sum(y[j] for j in members) == 0:
+            out.append((b, y))
+    return out
+
+
+@pytest.mark.parametrize(
+    "r,classes",
+    [(r, tuple(GraphClass)) for r in (4, 5, 6, 7)]
+    + [(8, (GraphClass.TRIANGLE_FREE_NONBIPARTITE,))],
+)
+def test_candidates_match_column_sums(r, classes):
+    for cls in classes:
+        for core in gen_cores(r, cls):
+            got = [(c.vector, c.image) for c in candidates(core, cls)]
+            assert got == _candidates_by_column_sums(core, cls), (cls, core.graph)
 
 
 def _has_triangle(g):
@@ -599,19 +665,20 @@ def test_a_core_generator_that_is_not_an_automorphism_is_an_internal_error(monke
     from rankforge import enumeration
     from rankforge.graphs import InternalError, relabel
 
-    real_form = enumeration.canonical_form
+    real_gen_cores = enumeration.gen_cores
 
-    def with_a_wrong_generator(g):
-        cf = real_form(g)
-        swaps = (
-            tuple(j if v == i else i if v == j else v for v in range(g.n))
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-        )
-        wrong = next(p for p in swaps if relabel(g, p) != g)
-        return replace(cf, generators=cf.generators + (wrong,))
+    def with_a_wrong_generator(r, cls):
+        for core in real_gen_cores(r, cls):
+            g = core.graph
+            swaps = (
+                tuple(j if v == i else i if v == j else v for v in range(g.n))
+                for i in range(g.n)
+                for j in range(i + 1, g.n)
+            )
+            wrong = next(p for p in swaps if relabel(g, p) != g)
+            yield replace(core, generators=core.generators + (wrong,))
 
-    monkeypatch.setattr(enumeration, "canonical_form", with_a_wrong_generator)
+    monkeypatch.setattr(enumeration, "gen_cores", with_a_wrong_generator)
     with pytest.raises(InternalError, match="core generator is not an automorphism"):
         enumeration.enumerate_all(6, GraphClass.BIPARTITE)
 
