@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from operator import getitem
 
 from .graphs import Graph, InternalError, bits, relabel
 
@@ -105,24 +106,35 @@ def _inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+def orbits(points, gens, act=getitem):
+    """The orbits of the group generated by ``gens`` that ``points`` meet.
+
+    Yields ``(i, orbit)`` per orbit, in input order: ``i`` is the index in
+    ``points`` of the orbit's first member and ``orbit`` a list that starts
+    with that member. ``act(g, x)`` is the image of point x under generator g.
+    """
+    seen = set()
+    for i, x in enumerate(points):
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for cur in orbit:  # grows while it is walked: a breadth-first closure
+            for g in gens:
+                img = act(g, cur)
+                if img not in seen:
+                    seen.add(img)
+                    orbit.append(img)
+        yield i, orbit
+
+
 def _orbit_partition(n: int, gens) -> list[int]:
-    """Union-find orbits of the group generated by ``gens``; root = smallest member."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for v in range(n):
-            a, b = find(v), find(g[v])
-            if a != b:
-                if a > b:
-                    a, b = b, a
-                parent[b] = a
-    return [find(v) for v in range(n)]
+    """Per vertex, the smallest member of its orbit under ``gens``."""
+    out = [0] * n
+    for first, orbit in orbits(range(n), gens):
+        for v in orbit:
+            out[v] = first
+    return out
 
 
 def _group_order(n: int, gens) -> int:

@@ -326,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a headline theorem at desk scale")
     p.add_argument("--theorem", choices=["main", "bi", "bigen", "remark"], required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--jobs", type=_job_count, default=os.cpu_count())
+    p.add_argument("--jobs", type=_job_count, default=os.cpu_count(),
+                   help="worker processes for main and bi; bigen and remark "
+                        "run in one process and ignore it")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -16,6 +16,7 @@ from .graphs import (
     bits,
     cycle_graph,
     delete_edge,
+    from_edges,
     independence_number,
     mask_of,
     path_graph,
@@ -101,8 +102,6 @@ def incidence_graph(n: int, family) -> Graph:
     for i, m in enumerate(masks):
         for x in bits(m):
             edges.append((x, n + i))
-    from .graphs import from_edges
-
     return from_edges(total, edges)
 
 

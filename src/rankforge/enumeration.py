@@ -26,7 +26,7 @@ from functools import lru_cache, partial
 from itertools import repeat
 from operator import add
 
-from .canonical import CanonicalForm, canonical_form, canonical_graph, to_graph6
+from .canonical import CanonicalForm, canonical_form, canonical_graph, orbits, to_graph6
 from .constructions import (
     b_bound,
     bipartite_remark_graph,
@@ -45,6 +45,8 @@ from .graphs import (
     is_connected,
     is_reduced,
     is_triangle_free,
+    mask_of,
+    permute_mask,
     two_colouring,
 )
 from .linalg import adjacency_matrix, adjugate, det_exact, rank_exact
@@ -164,36 +166,20 @@ def _level(pred_name: str, n: int) -> tuple[tuple[Graph, CanonicalForm], ...]:
         degrees = [row.bit_count() for row in parent.adj]
         top = max(degrees)
         top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
-        gens = pform.generators
-        seen = bytearray(1 << parent.n) if gens else None
-        # Only neighbourhoods that keep the child in the class. Both that and
-        # the degree test below are invariant under Aut(parent), so an orbit
-        # fails them as a whole, and its smallest member is the first seen.
-        for nb in _admissible(parent.n, _CONFLICTS[pred_name](parent)):
-            # Refinement first orders cells by ascending degree, so the last
-            # canonical position has maximum degree, and orbits keep degrees:
-            # the child can pass the orbit test only if the added vertex has
-            # the child's maximum degree (each vertex in nb gains one).
-            if nb.bit_count() < top + bool(nb & top_mask):
-                continue
-            if gens:
-                if seen[nb]:
-                    continue
-                seen[nb] = 1
-                stack = [nb]
-                while stack:
-                    cur = stack.pop()
-                    for g in gens:
-                        img = 0
-                        mm = cur
-                        while mm:
-                            low = mm & -mm
-                            img |= 1 << g[low.bit_length() - 1]
-                            mm ^= low
-                        if not seen[img]:
-                            seen[img] = 1
-                            stack.append(img)
-            child = add_vertex(parent, nb)
+        # Only neighbourhoods that keep the child in the class, and only those
+        # that can pass the orbit test below: refinement first orders cells by
+        # ascending degree, so the last canonical position has maximum degree,
+        # and orbits keep degrees, so the added vertex must have the child's
+        # maximum degree (each vertex in nb gains one). Both tests are
+        # invariant under Aut(parent), so an orbit passes or fails them as a
+        # whole, and its first member, the smallest, stands for it.
+        masks = (
+            nb
+            for nb in _admissible(parent.n, _CONFLICTS[pred_name](parent))
+            if nb.bit_count() >= top + bool(nb & top_mask)
+        )
+        for _, orbit in orbits(masks, pform.generators, permute_mask):
+            child = add_vertex(parent, orbit[0])
             cf = canonical_form(child)
             # Accept the child only when the added vertex sits in the same
             # orbit as the canonical deletion vertex (last canonical position).
@@ -265,18 +251,17 @@ def candidates(core: Core, cls: GraphClass) -> tuple[ExtensionCandidate, ...]:
     # A core triangle through an extension needs two adjacent core vertices
     # in b, so triangle-constrained candidates must be independent sets.
     conflicts = _CONFLICTS["triangle-free" if cls.triangle_constrained else "all"](g)
-    columns = list(zip(*core.adjug))
     # b -> (y, q) with y = adj(A) b and q = b^T y, built from b minus its
-    # lowest vertex i: y gains column i, q gains 2 y_i + adj(A)_ii (adj(A)
-    # is symmetric).
+    # lowest vertex i: y gains column i, which is row i (adj(A) is
+    # symmetric), and q gains 2 y_i + adj(A)_ii.
     forms = {0: ((0,) * g.n, 0)}
     out = []
     for b in _admissible(g.n, conflicts)[1:]:
         low = b & -b
         i = low.bit_length() - 1
         y, q = forms[b ^ low]
-        q += 2 * y[i] + columns[i][i]
-        y = tuple(map(add, y, columns[i]))
+        q += 2 * y[i] + core.adjug[i][i]
+        y = tuple(map(add, y, core.adjug[i]))
         forms[b] = y, q
         if q == 0 and b not in rows:
             out.append(ExtensionCandidate(vector=b, image=y))
@@ -544,35 +529,13 @@ def _orbit_firsts(core: Core, sets):
     r, adj = core.graph.n, core.graph.adj
     images = []  # per generator: the image of every core vertex mask
     for perm in core.generators:
-        img = [0] * (1 << r)
-        for m in range(1, 1 << r):
-            low = m & -m
-            img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
+        img = [permute_mask(perm, m) for m in range(1 << r)]
         if any(img[adj[v]] != adj[perm[v]] for v in range(r)):
             raise InternalError("core generator is not an automorphism")
         images.append(img)
-    seen: set[int] = set()
-    for s in sets:
-        key = 0
-        for cand in s:
-            key |= 1 << cand.vector
-        if key in seen:
-            continue
-        yield s
-        seen.add(key)
-        stack = [key]
-        while stack:
-            cur = stack.pop()
-            for img in images:
-                image = 0
-                rest = cur
-                while rest:
-                    low = rest & -rest
-                    image |= 1 << img[low.bit_length() - 1]
-                    rest ^= low
-                if image not in seen:
-                    seen.add(image)
-                    stack.append(image)
+    keys = (mask_of(cand.vector for cand in s) for s in sets)
+    for i, _ in orbits(keys, images, permute_mask):
+        yield sets[i]
 
 
 def _emitted(r: int, cls: GraphClass, per_core) -> dict[str, Graph]:

@@ -147,14 +147,21 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def permute_mask(perm, mask: int) -> int:
+    """The image of the vertex set ``mask`` when vertex v goes to ``perm[v]``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def relabel(g: Graph, perm) -> Graph:
     """Relabel vertices: vertex v becomes ``perm[v]``."""
     rows = [0] * g.n
     for v in range(g.n):
-        row = 0
-        for u in bits(g.adj[v]):
-            row |= 1 << perm[u]
-        rows[perm[v]] = row
+        rows[perm[v]] = permute_mask(perm, g.adj[v])
     return Graph(g.n, tuple(rows))
 
 

@@ -12,6 +12,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from rankforge.codes import rowspace_distance2_max
 from rankforge.constructions import (
     extremal_triangle_free,
     odd_subset_incidence_graph,
@@ -40,6 +41,13 @@ def reduced_corpus() -> list[Graph]:
         if g.n >= 2:
             out.append(g)
     return out
+
+
+@pytest.fixture(scope="session")
+def uncut_length6_optimum():
+    """``rowspace_distance2_max(6)`` without the proven-bound cutoff, about
+    45 s: computed once for the tests that check it."""
+    return rowspace_distance2_max(6, use_theorem_cutoff=False)
 
 
 @pytest.fixture(scope="session")

@@ -368,6 +368,6 @@ def test_criterion_10_rowspace_explorer():
 
 
 @pytest.mark.extended
-def test_criterion_10_extended_length6_uncut():
-    best, _ = rowspace_distance2_max(6, use_theorem_cutoff=False)
+def test_criterion_10_extended_length6_uncut(uncut_length6_optimum):
+    best, _ = uncut_length6_optimum
     assert _line(best == 20, f"criterion 10 (extended): length-6 optimum {best} without cutoff")

@@ -220,8 +220,8 @@ def test_rowspace_max_length6():
 
 
 @pytest.mark.extended
-def test_rowspace_max_length6_without_cutoff():
-    best, _ = rowspace_distance2_max(6, use_theorem_cutoff=False)
+def test_rowspace_max_length6_without_cutoff(uncut_length6_optimum):
+    best, _ = uncut_length6_optimum
     assert best == 20
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -14,6 +15,7 @@ from rankforge.canonical import (
     canonical_form,
     canonical_graph,
     from_graph6,
+    orbits,
     to_graph6,
 )
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
@@ -43,6 +45,7 @@ from rankforge.graphs import (
     is_reduced,
     is_triangle_free,
     mask_of,
+    permute_mask,
     two_colouring,
 )
 from rankforge.linalg import adjacency_matrix, det_exact, rank_exact
@@ -598,6 +601,47 @@ def _group_elements(gens, n):
                 elements.add(q)
                 frontier.append(q)
     return elements
+
+
+def _check_orbit_walk(points, walk, orbit_of):
+    """``walk`` is ``list(orbits(points, ...))``; ``orbit_of(x)`` is the
+    brute-force orbit of x as a set."""
+    covered = set()
+    last = -1
+    for i, orbit in walk:
+        assert i > last  # input order
+        last = i
+        assert orbit[0] == points[i]
+        assert len(set(orbit)) == len(orbit) and set(orbit) == orbit_of(points[i])
+        assert not covered & set(orbit)  # each orbit is walked once
+        # points[i] is the first point of the orbit that the input holds
+        assert all(x not in orbit for x in points[:i])
+        covered |= set(orbit)
+    assert set(points) <= covered  # every orbit the points meet is walked
+
+
+def test_orbit_walk_matches_the_closure_under_every_group_element():
+    # Every triangle-free level form up to 7 vertices: vertex orbits on
+    # range(n), and mask orbits on a shuffled half of all masks.
+    rng = random.Random(11)
+    for n in range(1, 8):
+        for _, form in _level("triangle-free", n):
+            group = _group_elements(form.generators, n)
+            gens = form.generators
+
+            def vertex_orbit(v):
+                return {p[v] for p in group}
+
+            def mask_orbit(m):
+                return {mask_of(p[v] for v in bits(m)) for p in group}
+
+            points = list(range(n))
+            _check_orbit_walk(points, list(orbits(points, gens)), vertex_orbit)
+            masks = list(range(1 << n))
+            rng.shuffle(masks)
+            masks = masks[: len(masks) // 2 + 1]
+            walk = list(orbits(masks, gens, permute_mask))
+            _check_orbit_walk(masks, walk, mask_orbit)
 
 
 def _per_core_sets(r, cls, extremal):

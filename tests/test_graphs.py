@@ -18,6 +18,7 @@ from rankforge.graphs import (
     mask_of,
     maximum_independent_sets,
     path_graph,
+    permute_mask,
     reduce_graph,
     relabel,
     symmetric_difference,
@@ -256,3 +257,16 @@ def test_relabel_preserves_structure(g, rnd):
     assert sorted(h.degree(v) for v in range(h.n)) == sorted(
         g.degree(v) for v in range(g.n)
     )
+
+
+def test_permute_mask_is_the_image_of_each_member():
+    rng = random.Random(7)
+    for n in range(0, 12):
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for mask in (0, (1 << n) - 1, rng.getrandbits(n)):
+                assert permute_mask(perm, mask) == mask_of(perm[v] for v in bits(mask))
+    # a table serves as the map too: bit b of the mask goes to bit table[b]
+    table = [3, 0, 5, 1]
+    assert permute_mask(table, 0b1011) == mask_of([3, 0, 1])
