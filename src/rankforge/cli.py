@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / theorem verified, 1 theorem counterexample found,
 2 usage or guard error, 3 internal error (a soundness re-check failed: a bug).
+
+The enumeration, code and lemma commands import their modules when they run,
+so a command compiles and keeps only what it uses.
 """
 from __future__ import annotations
 
@@ -10,8 +13,6 @@ import json
 import os
 import sys
 
-from . import codes as codes_mod
-from . import enumeration as enum_mod
 from .canonical import dumps_report, from_graph6, to_graph6
 from .constructions import (
     bipartite_remark_graph,
@@ -33,12 +34,6 @@ from .graphs import (
     reduce_graph,
 )
 from .linalg import adjacency_matrix, rank_exact
-from .structure import (
-    max_subgraph_below_rank,
-    obstruction_free,
-    rank_drop_neighborhood,
-    rank_drop_symdiff,
-)
 
 COUNTEREXAMPLE = 1
 USAGE_ERROR = 2
@@ -138,6 +133,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
+    from .structure import (
+        max_subgraph_below_rank,
+        obstruction_free,
+        rank_drop_neighborhood,
+        rank_drop_symdiff,
+    )
+
     g = _read_one_graph(args.input)
     if args.which == "neighborhood":
         if args.v is None:
@@ -161,13 +163,11 @@ def _cmd_lemma(args) -> int:
     return 0 if ok else COUNTEREXAMPLE
 
 
-def _parse_code(source: str) -> codes_mod.BinaryCode:
-    return codes_mod.code_from_lines(_read_lines(source))
-
-
 def _cmd_code(args) -> int:
+    from . import codes as codes_mod
+
     if args.which == "singleton":
-        code = _parse_code(args.input)
+        code = codes_mod.code_from_lines(_read_lines(args.input))
         d = args.d if args.d is not None else codes_mod.min_distance(code)
         verdict = codes_mod.singleton_verify(code, d)
         print(
@@ -199,7 +199,7 @@ def _cmd_code(args) -> int:
         )
         return 0 if res.holds else COUNTEREXAMPLE
     if args.which == "f2n":
-        code = _parse_code(args.input)
+        code = codes_mod.code_from_lines(_read_lines(args.input))
         res = codes_mod.rowspace_distance2_bound(code)
         print(f"size={len(code)} bound={res.bound} holds={str(res.holds).lower()}")
         return 0 if res.holds else COUNTEREXAMPLE
@@ -216,6 +216,8 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import enumeration as enum_mod
+
     cls = enum_mod.GraphClass.from_token(args.graph_class)
     if args.merge:
         payloads = []
@@ -240,6 +242,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import enumeration as enum_mod
+
     result = enum_mod.verify_theorem(
         args.theorem, args.r, jobs=args.jobs, progress=args.progress
     )

@@ -12,6 +12,14 @@ Cores are generated once per isomorphism class by vertex-by-vertex orderly
 augmentation with canonical-augmentation rejection; per core, a branch-and-
 bound clique search over pairwise-compatible extension vectors finds the
 maximum completions.
+
+A graph has many cores, and one is enough to find it, so two core-choice
+rules cut the redundancy (proofs in ``gen_cores`` and ``_swap_gains_edges``).
+In the non-bipartite class only non-bipartite cores are searched: every such
+graph has one, grown from its shortest odd cycle. And a candidate b is
+dropped when swapping some core vertex u for it gives a nonsingular core
+(y_u != 0) with more edges: a graph is then found in full from a core with
+the most edges, whose candidates keep all of its vertices.
 """
 from __future__ import annotations
 
@@ -215,13 +223,28 @@ def _rank_range_check(r: int):
 
 def gen_cores(r: int, cls: GraphClass):
     """One core per isomorphism class: class graphs on r vertices with
-    nonsingular adjacency matrix."""
+    nonsingular adjacency matrix; in the non-bipartite class, only the
+    non-bipartite ones.
+
+    Non-bipartite core rule. Every graph G of that class has a non-bipartite
+    core. G is triangle-free with an odd cycle, so its shortest odd cycle C
+    is induced (a chord would split it into a shorter odd cycle), and an odd
+    cycle's adjacency matrix is nonsingular (its eigenvalues 2 cos(2 pi j/n)
+    are never 0 for odd n). A nonsingular principal submatrix A of a
+    symmetric matrix M of rank r extends to one of order r: the Schur
+    complement of A in M is symmetric of rank r - |A|, so it has a
+    nonsingular principal submatrix of that order, and the principal
+    submatrix of M on both index sets has determinant det A times its
+    determinant. That r-vertex core contains C, so it is not bipartite.
+    """
     _rank_range_check(r)
     name = cls.hereditary_name
     # graphs_of_order lists the level's graphs, in the level's order.
     for g, (_, form) in zip(graphs_of_order(r, name), _level(name, r)):
         if 0 in g.adj or len(set(g.adj)) < r:
             continue  # a zero row or two equal rows: singular
+        if cls.bipartite is False and two_colouring(g) is not None:
+            continue  # a bipartite core: the rule above skips it
         a = adjacency_matrix(g)
         d = det_exact(a)
         if d:
@@ -242,12 +265,59 @@ class ExtensionCandidate:
     image: tuple[int, ...]
 
 
+def _swap_gains_edges(core: Core, cls: GraphClass):
+    """Edge-maximum core rule: a predicate on (b, y = adj(A) b), true when
+    swapping some core vertex u for an extension vertex with core
+    neighbourhood b gives a core of the class with more edges. ``candidates``
+    drops such b.
+
+    The bordered matrix N of core + b has rank r (b^T adj(A) b = 0) and null
+    vector z = (y, -det A), so adj(N) = c z z^T. Its principal minor without
+    the new vertex is det A = c det(A)^2, so the minor without u, the swapped
+    core's, is y_u^2 / det A: the swap is nonsingular iff y_u != 0. It changes
+    the edge count by |b minus u| - deg(u).
+
+    Let C be a core of a class graph G with the most edges among the cores
+    of G that ``gen_cores`` can list (the nonsingular r-vertex induced
+    subgraphs, non-bipartite ones in the non-bipartite class). Every vertex of
+    G outside C has some vector b, and a nonsingular swap of it for u is an
+    induced subgraph of G: a core of G in a hereditary class, and in the
+    non-bipartite class when it keeps an odd cycle, so only those swaps count
+    there. Each such core has at most C's edges, so C keeps every vertex of G
+    as a candidate, and the search from C finds G whole.
+    """
+    g = core.graph
+    r = g.n
+    degrees = [row.bit_count() for row in g.adj]
+    # below[k]: the core vertices of degree < k, so a swap of u for b gains
+    # edges iff u is in below[|b|] outside b or in below[|b| - 1] inside it.
+    below = [mask_of(u for u in range(r) if degrees[u] < k) for k in range(r + 1)]
+    # rest[u]: None when every swap for u stays in the class, otherwise the
+    # 2-colouring of core - u (u isolated), which b must break.
+    rest: list[Colouring | None] = [None] * r
+    if cls.bipartite is False:
+        for u in range(r):
+            rows = tuple(0 if v == u else row & ~(1 << u) for v, row in enumerate(g.adj))
+            rest[u] = two_colouring(Graph(r, rows))
+
+    def gains(b: int, y: tuple[int, ...]) -> bool:
+        k = b.bit_count()
+        return any(
+            y[u] and (rest[u] is None or add_to_colouring(rest[u], 1 << r, b & ~(1 << u)) is None)
+            for u in bits(below[k] & ~b | below[k - 1] & b)
+        )
+
+    return gains
+
+
 def candidates(core: Core, cls: GraphClass) -> tuple[ExtensionCandidate, ...]:
-    """All nonzero b (not equal to a core row) with b^T adj(A) b == 0, in
-    ascending vector order; in a triangle-constrained class only the b that
-    are independent in the core."""
+    """All nonzero b (not equal to a core row) with b^T adj(A) b == 0 and no
+    swap that gains edges (``_swap_gains_edges``), in ascending vector order;
+    in a triangle-constrained class only the b that are independent in the
+    core."""
     g = core.graph
     rows = set(g.adj)
+    gains = _swap_gains_edges(core, cls)
     # A core triangle through an extension needs two adjacent core vertices
     # in b, so triangle-constrained candidates must be independent sets.
     conflicts = _CONFLICTS["triangle-free" if cls.triangle_constrained else "all"](g)
@@ -263,7 +333,7 @@ def candidates(core: Core, cls: GraphClass) -> tuple[ExtensionCandidate, ...]:
         q += 2 * y[i] + core.adjug[i][i]
         y = tuple(map(add, y, core.adjug[i]))
         forms[b] = y, q
-        if q == 0 and b not in rows:
+        if q == 0 and b not in rows and not gains(b, y):
             out.append(ExtensionCandidate(vector=b, image=y))
     return tuple(out)
 
@@ -482,7 +552,10 @@ def report_from_payload(payload) -> EnumerationReport:
 
 def merge_reports(payloads: list[dict]) -> dict:
     """Merge shard reports of one run: max order wins, extremal lists of the
-    winning shards union (deduplicated, sorted), counters add."""
+    winning shards union (deduplicated, sorted), counters add.
+
+    ``elapsed_ms`` adds too, so in a merged report it is the sum of the shard
+    times, the work done, not the wall time of shards that ran in parallel."""
     reports = [report_from_payload(p) for p in payloads]
     if not reports:
         raise ValueError("nothing to merge")
@@ -518,8 +591,11 @@ def _assert_sound(g: Graph, r: int, cls: GraphClass):
 def _orbit_firsts(core: Core, sets):
     """The first set of each orbit of Aut(core) on ``sets``, in order.
 
-    An automorphism s of the core maps candidates to candidates (it keeps
-    b^T adj(A) b, independence in the core and the core rows) and a valid set
+    An automorphism s of the core maps candidates to candidates: it keeps
+    b^T adj(A) b, independence in the core and the core rows, and the
+    edge-maximum rule, since y(s(b)) is y(b) permuted by s, s keeps degrees,
+    and swapping s(u) for s(b) gives the image under s of swapping u for b
+    (same edge count, same bipartiteness). It also maps a valid set
     S to a valid set s(S) of the same size, with complete(core, S) isomorphic
     to complete(core, s(S)); so ``sets``, all valid sets of some sizes, is a
     union of orbits, and one completion per orbit stands for all of them. A

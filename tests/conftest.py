@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 
@@ -120,21 +120,25 @@ def gf2_rank(rows: list[int]) -> int:
 
 
 def leibniz_det(m) -> int:
-    """Determinant by summing over all permutations (tiny matrices only)."""
+    """Determinant by the Leibniz sum, sign(p) times the product of m[i][p(i)]
+    over the permutations p. A permutation is built row by row, its sign
+    flipped for each value already used that is above the one appended (an
+    inversion), and one with a zero factor is dropped as soon as it has one,
+    so sparse matrices of order 8 stay cheap."""
     n = len(m)
-    total = 0
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= m[i][perm[i]]
-        total += term
-    return total
+    nonzero = [[j for j in range(n) if row[j]] for row in m]
+
+    def rec(i: int, used: int) -> int:
+        if i == n:
+            return 1
+        total = 0
+        for j in nonzero[i]:
+            if not used >> j & 1:
+                term = m[i][j] * rec(i + 1, used | 1 << j)
+                total += -term if (used >> j).bit_count() % 2 else term
+        return total
+
+    return rec(0, 0)
 
 
 def brute_independence(g: Graph) -> tuple[int, list[int]]:

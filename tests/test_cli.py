@@ -241,8 +241,12 @@ def test_input_and_option_errors(capsys, monkeypatch, argv, stdin_text, message)
 @pytest.mark.parametrize(
     "rank, cls, lines",
     [
-        ("6", "bi", [f"core {i}/7: best so far 10" for i in range(1, 8)]),
-        ("4", "tfnb", ["core 1/2: best so far none", "core 2/2: best so far none"]),
+        (
+            "6",
+            "bi",
+            [f"core {i}/7: best so far {b}" for i, b in enumerate((6, 7, 8, 8, 8, 9, 10), 1)],
+        ),
+        ("4", "tfnb", []),  # no non-bipartite core at rank 4
     ],
 )
 def test_enumerate_progress_lines(capsys, rank, cls, lines, jobs):

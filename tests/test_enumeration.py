@@ -18,10 +18,16 @@ from rankforge.canonical import (
     orbits,
     to_graph6,
 )
-from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
+from rankforge.constructions import (
+    b_bound,
+    c_bound,
+    extremal_triangle_free,
+    subset_incidence_graph,
+)
 from rankforge.enumeration import (
     _CONFLICTS,
     _HEREDITARY,
+    ExtensionCandidate,
     GraphClass,
     _admissible,
     _level,
@@ -29,6 +35,7 @@ from rankforge.enumeration import (
     candidates,
     compatible,
     complete,
+    enumerate_all,
     enumerate_extremal,
     gen_cores,
     graphs_of_order,
@@ -38,6 +45,7 @@ from rankforge.enumeration import (
     verify_theorem,
 )
 from rankforge.graphs import (
+    Graph,
     add_vertex,
     bipartition,
     bits,
@@ -285,11 +293,42 @@ def test_candidates_satisfy_definitions():
             assert cand.image[j] == sum(core.adjug[j][i] for i in bits(cand.vector))
 
 
+def _bordered(core, b):
+    """Adjacency matrix of the core plus one vertex with core neighbourhood b."""
+    r = core.graph.n
+    col = [b >> i & 1 for i in range(r)]
+    return [row + [col[i]] for i, row in enumerate(adjacency_matrix(core.graph))] + [
+        col + [0]
+    ]
+
+
+def _a_swap_gains_edges(core, b, nonbipartite):
+    """The edge-maximum core rule by brute force: some r x r principal minor of
+    the bordered matrix that swaps a core vertex u for b has more edges than
+    the core, is not 2-colourable if ``nonbipartite``, and has a nonzero
+    Leibniz determinant."""
+    r = core.graph.n
+    bordered = _bordered(core, b)
+    core_edges = sum(sum(row[:r]) for row in bordered[:r]) // 2
+    for u in range(r):
+        keep = [i for i in range(r + 1) if i != u]
+        minor = [[bordered[i][j] for j in keep] for i in keep]
+        if sum(map(sum, minor)) // 2 <= core_edges:
+            continue
+        rows = tuple(sum(x << j for j, x in enumerate(row)) for row in minor)
+        if nonbipartite and _two_colourable(Graph(r, rows)):
+            continue
+        if leibniz_det(minor):
+            return True
+    return False
+
+
 @pytest.mark.parametrize("r", (4, 5, 6))
 def test_candidates_match_bordered_rank_oracle(r):
     """Candidates are exactly the b != 0 outside the core rows whose bordered
     matrix keeps rank r, independent in the core in a triangle-constrained
-    class; each image y solves A y = det(A) b, so y = adj(A) b."""
+    class, and with no swap for a core vertex that gains edges; each image y
+    solves A y = det(A) b, so y = adj(A) b."""
     kernels = {}  # core rows -> the b whose bordered matrix has rank r
     for cls in GraphClass:
         for core in gen_cores(r, cls):
@@ -297,13 +336,7 @@ def test_candidates_match_bordered_rank_oracle(r):
             det = leibniz_det(a)
             if core.graph.adj not in kernels:
                 kernels[core.graph.adj] = [
-                    b
-                    for b in range(1, 1 << r)
-                    if fraction_rank(
-                        [row + [b >> i & 1] for i, row in enumerate(a)]
-                        + [[b >> i & 1 for i in range(r)] + [0]]
-                    )
-                    == r
+                    b for b in range(1, 1 << r) if fraction_rank(_bordered(core, b)) == r
                 ]
             expected = [
                 b
@@ -312,6 +345,7 @@ def test_candidates_match_bordered_rank_oracle(r):
                 and not (
                     cls.triangle_constrained and any(core.graph.adj[i] & b for i in bits(b))
                 )
+                and not _a_swap_gains_edges(core, b, cls.bipartite is False)
             ]
             cands = candidates(core, cls)
             assert [c.vector for c in cands] == expected, (cls, core.graph)
@@ -323,8 +357,10 @@ def test_candidates_match_bordered_rank_oracle(r):
 
 
 def _candidates_by_column_sums(core, cls):
-    """(b, adj(A) b) for every candidate b, each image summed afresh from the
-    adjugate columns of b's members."""
+    """(b, adj(A) b) for every b with b^T adj(A) b = 0 outside the core rows
+    (independent in a triangle-constrained class), each image summed afresh
+    from the adjugate columns of b's members: the candidate list without the
+    edge-maximum core rule."""
     r, adj = core.graph.n, core.graph.adj
     out = []
     for b in range(1, 1 << r):
@@ -343,10 +379,46 @@ def _candidates_by_column_sums(core, cls):
     + [(8, (GraphClass.TRIANGLE_FREE_NONBIPARTITE,))],
 )
 def test_candidates_match_column_sums(r, classes):
+    """The candidates are the column-sum list less the b with a gaining swap,
+    found by brute force. In the non-bipartite class a swap that leaves a
+    bipartite core does not count: at r = 8 that keeps 5 candidates which the
+    unrestricted rule would drop, and none below."""
+    kept_by_the_restriction = 0
+    for cls in classes:
+        nonbipartite = cls.bipartite is False
+        for core in gen_cores(r, cls):
+            want = []
+            for b, y in _candidates_by_column_sums(core, cls):
+                if not _a_swap_gains_edges(core, b, nonbipartite):
+                    want.append((b, y))
+                    kept_by_the_restriction += nonbipartite and _a_swap_gains_edges(
+                        core, b, False
+                    )
+            got = [(c.vector, c.image) for c in candidates(core, cls)]
+            assert got == want, (cls, core.graph)
+    assert kept_by_the_restriction == (5 if r == 8 else 0)
+
+
+@pytest.mark.parametrize("r", (6, 8))
+def test_nonbipartite_cores_are_the_triangle_free_cores_with_an_odd_cycle(r):
+    tf = [c for c in gen_cores(r, GraphClass.TRIANGLE_FREE) if not _two_colourable(c.graph)]
+    assert list(gen_cores(r, GraphClass.TRIANGLE_FREE_NONBIPARTITE)) == tf
+    assert tf  # the rule leaves something to search
+
+
+@pytest.mark.parametrize(
+    "r,classes",
+    [(r, tuple(GraphClass)) for r in (4, 5, 6, 7)]
+    + [(8, (GraphClass.TRIANGLE_FREE, GraphClass.TRIANGLE_FREE_NONBIPARTITE))],
+)
+def test_candidate_lists_are_closed_under_core_automorphisms(r, classes):
+    """The edge-maximum rule is Aut(core)-invariant, as ``_orbit_firsts``
+    needs: each generator maps the candidate list onto itself."""
     for cls in classes:
         for core in gen_cores(r, cls):
-            got = [(c.vector, c.image) for c in candidates(core, cls)]
-            assert got == _candidates_by_column_sums(core, cls), (cls, core.graph)
+            vectors = {c.vector for c in candidates(core, cls)}
+            for perm in core.generators:
+                assert {permute_mask(perm, b) for b in vectors} == vectors, (cls, core)
 
 
 def _has_triangle(g):
@@ -437,10 +509,13 @@ def test_max_extension_keeps_every_tied_optimum(r, cls):
 
 @pytest.mark.parametrize("r", (4, 5, 6))
 @pytest.mark.parametrize("cls", (GraphClass.BIPARTITE, GraphClass.TRIANGLE_FREE_NONBIPARTITE))
-def test_bipartite_rule_keeps_exactly_the_matching_sets(r, cls):
+def test_bipartite_rule_keeps_exactly_the_matching_sets(monkeypatch, r, cls):
     """A class with a bipartiteness rule finds the triangle-free sets whose
-    completion obeys that rule, no more and no fewer, in the same order."""
-    for core in gen_cores(r, cls):
+    completion obeys that rule, no more and no fewer, in the same order. The
+    search rule is tested alone, on the candidate list without the class's
+    edge-maximum rule and on every triangle-free core, bipartite ones too."""
+    _without_core_rules(monkeypatch)
+    for core in _unfiltered_cores(r, cls):
         assert all_extensions(core, cls) == [
             s
             for s in all_extensions(core, GraphClass.TRIANGLE_FREE)
@@ -487,6 +562,63 @@ def test_enumerate_extremal_rank4_nonbipartite_is_empty():
     rep = enumerate_extremal(4, GraphClass.TRIANGLE_FREE_NONBIPARTITE)
     assert rep.max_order == 0
     assert rep.extremal == ()
+
+
+def _unfiltered_cores(r, cls):
+    """The core list without the non-bipartite core rule: in that class every
+    triangle-free core, as in the triangle-free class."""
+    return gen_cores(r, GraphClass.TRIANGLE_FREE if cls.bipartite is False else cls)
+
+
+def _unfiltered_candidates(core, cls):
+    """The candidate list without the edge-maximum core rule."""
+    return tuple(
+        ExtensionCandidate(vector=b, image=y) for b, y in _candidates_by_column_sums(core, cls)
+    )
+
+
+def _without_core_rules(monkeypatch):
+    from rankforge import enumeration
+
+    monkeypatch.setattr(enumeration, "gen_cores", _unfiltered_cores)
+    monkeypatch.setattr(enumeration, "candidates", _unfiltered_candidates)
+
+
+def _check_core_rules_keep_the_extremal_graphs(monkeypatch, r, cls):
+    ruled = enumerate_extremal(r, cls, jobs=1)
+    _without_core_rules(monkeypatch)
+    plain = enumerate_extremal(r, cls, jobs=1)
+    assert (ruled.max_order, ruled.extremal) == (plain.max_order, plain.extremal)
+    assert ruled.cores_processed <= plain.cores_processed
+    assert ruled.candidates_total <= plain.candidates_total
+
+
+@pytest.mark.parametrize(
+    "r, cls",
+    [(r, cls) for r in range(4, 9) for cls in GraphClass if cls is not GraphClass.ALL or r <= 7],
+)
+def test_core_rules_keep_the_extremal_graphs(monkeypatch, r, cls):
+    """Both core-choice rules leave ``max_order`` and ``extremal`` as the
+    unfiltered core and candidate lists give them."""
+    _check_core_rules_keep_the_extremal_graphs(monkeypatch, r, cls)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("cls", [c for c in GraphClass if c is not GraphClass.ALL])
+def test_core_rules_keep_the_extremal_graphs_at_rank9(monkeypatch, cls):
+    _check_core_rules_keep_the_extremal_graphs(monkeypatch, 9, cls)
+
+
+@pytest.mark.parametrize(
+    "r, cls, min_order",
+    [(6, cls, 0) for cls in GraphClass if cls is not GraphClass.ALL]
+    + [(5, GraphClass.ALL, 0), (8, GraphClass.BIPARTITE, 17)],
+)
+def test_core_rules_keep_every_graph_of_enumerate_all(monkeypatch, r, cls, min_order):
+    ruled = enumerate_all(r, cls, min_order=min_order)
+    _without_core_rules(monkeypatch)
+    assert ruled == enumerate_all(r, cls, min_order=min_order)
+    assert ruled
 
 
 def test_rank7_extremal_pair_frozen():
@@ -741,8 +873,9 @@ def test_traced_names_resolve_on_enumeration():
 
 
 def test_determinism_across_job_counts():
-    serial = enumerate_extremal(6, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=1)
-    parallel = enumerate_extremal(6, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=2)
+    serial = enumerate_extremal(7, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=1)
+    parallel = enumerate_extremal(7, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=2)
+    assert serial.cores_processed > 1  # so the worker pool runs
     a = serial.to_payload()
     b = parallel.to_payload()
     a.pop("elapsed_ms")
@@ -868,3 +1001,25 @@ def test_rank_guard_env_override(monkeypatch):
     _rank_range_check(11)  # no longer raises
     monkeypatch.setenv("RANKFORGE_MAX_R", "7")
     assert max_rank_guard() == 9  # the variable raises the guard, never lowers it
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize(
+    "cls, order, bound, graph",
+    [
+        (GraphClass.TRIANGLE_FREE_NONBIPARTITE, 29, c_bound, extremal_triangle_free(10).graph),
+        (GraphClass.BIPARTITE, 36, b_bound, subset_incidence_graph(5)),
+    ],
+    ids=["tfnb", "bi"],
+)
+def test_rank10_has_one_extremal_graph_the_construction(monkeypatch, cls, order, bound, graph):
+    """Rank 10 finishes: the extremal order is c(10) = 29, resp. b(10) = 36,
+    and the construction is the only extremal graph; each emitted graph has
+    rank 10 by Fraction elimination."""
+    monkeypatch.setenv("RANKFORGE_MAX_R", "10")
+    rep = enumerate_extremal(10, cls, jobs=2)
+    assert rep.max_order == order == bound(10)
+    assert rep.extremal == (to_graph6(canonical_graph(graph)),)
+    for g6 in rep.extremal:
+        g = from_graph6(g6)
+        assert g.n == order and fraction_rank(adjacency_matrix(g)) == 10
