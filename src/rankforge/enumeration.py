@@ -9,9 +9,15 @@ b^T A^{-1} b'. Integerized through the adjugate (y = adj(A) b, entries tested
 against 0 and det A) this closes the search without any rational arithmetic.
 
 Cores are generated once per isomorphism class by vertex-by-vertex orderly
-augmentation with canonical-augmentation rejection; per core, a branch-and-
-bound clique search over pairwise-compatible extension vectors finds the
-maximum completions.
+augmentation with canonical-augmentation rejection (McKay 1998): a child is
+kept when its new vertex shares an orbit with the last canonical position.
+It is dropped unlabeled when that vertex is outside the last cell of the
+root refinement: labeling puts each root cell on its own interval of
+positions and automorphisms map each root cell onto itself, so the orbit of
+the last position lies in that cell. The levels below r are cached; level r
+is streamed, and only children that may be cores are labeled. Per core, a
+branch-and-bound clique search over pairwise-compatible extension vectors
+finds the maximum completions.
 
 A graph has many cores, and one is enough to find it, so two core-choice
 rules cut the redundancy (proofs in ``gen_cores`` and ``_swap_gains_edges``).
@@ -34,7 +40,7 @@ from functools import lru_cache, partial
 from itertools import repeat
 from operator import add
 
-from .canonical import CanonicalForm, canonical_form, canonical_graph, orbits, to_graph6
+from .canonical import CanonicalForm, _refine, canonical_form, canonical_graph, orbits, to_graph6
 from .constructions import (
     b_bound,
     bipartite_remark_graph,
@@ -162,15 +168,12 @@ def _admissible(k: int, conflicts) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _level(pred_name: str, n: int) -> tuple[tuple[Graph, CanonicalForm], ...]:
-    """All graphs on exactly n vertices satisfying the hereditary predicate,
-    one per isomorphism class, each with its canonical form."""
-    if n == 1:
-        k1 = Graph(1, (0,))  # in every class
-        return ((k1, canonical_form(k1)),)
-    out = []
-    for parent, pform in _level(pred_name, n - 1):
+def _children(pred_name: str, parents, keep=None):
+    """Each accepted child of ``parents`` (one level of graphs with their
+    canonical forms) with its canonical form, in level order. ``keep``, an
+    isomorphism-invariant test, drops whole classes before labeling, as
+    the root-cell test does (see the module docstring)."""
+    for parent, pform in parents:
         degrees = [row.bit_count() for row in parent.adj]
         top = max(degrees)
         top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
@@ -188,13 +191,27 @@ def _level(pred_name: str, n: int) -> tuple[tuple[Graph, CanonicalForm], ...]:
         )
         for _, orbit in orbits(masks, pform.generators, permute_mask):
             child = add_vertex(parent, orbit[0])
+            if keep is not None and not keep(child):
+                continue
+            full = (1 << child.n) - 1
+            if not _refine(child.adj, [full], [full])[-1] >> parent.n:
+                continue  # the new vertex is not in the last root cell
             cf = canonical_form(child)
             # Accept the child only when the added vertex sits in the same
             # orbit as the canonical deletion vertex (last canonical position).
             vstar = cf.labeling.index(child.n - 1)
             if cf.orbits[vstar] == cf.orbits[child.n - 1]:
-                out.append((child, cf))
-    return tuple(out)
+                yield child, cf
+
+
+@lru_cache(maxsize=None)
+def _level(pred_name: str, n: int) -> tuple[tuple[Graph, CanonicalForm], ...]:
+    """All graphs on exactly n vertices satisfying the hereditary predicate,
+    one per isomorphism class, each with its canonical form."""
+    if n == 1:
+        k1 = Graph(1, (0,))  # in every class
+        return ((k1, canonical_form(k1)),)
+    return tuple(_children(pred_name, _level(pred_name, n - 1)))
 
 
 def graphs_of_order(n: int, hereditary_name: str) -> tuple[Graph, ...]:
@@ -226,6 +243,10 @@ def gen_cores(r: int, cls: GraphClass):
     nonsingular adjacency matrix; in the non-bipartite class, only the
     non-bipartite ones.
 
+    Level r is streamed, never cached. A child is labeled only when it is
+    in the last root cell (see the module docstring) and ``may_be_core``, an
+    isomorphism-invariant test, and only accepted ones reach ``det_exact``.
+
     Non-bipartite core rule. Every graph G of that class has a non-bipartite
     core. G is triangle-free with an odd cycle, so its shortest odd cycle C
     is induced (a chord would split it into a shorter odd cycle), and an odd
@@ -239,12 +260,15 @@ def gen_cores(r: int, cls: GraphClass):
     """
     _rank_range_check(r)
     name = cls.hereditary_name
-    # graphs_of_order lists the level's graphs, in the level's order.
-    for g, (_, form) in zip(graphs_of_order(r, name), _level(name, r)):
-        if 0 in g.adj or len(set(g.adj)) < r:
-            continue  # a zero row or two equal rows: singular
-        if cls.bipartite is False and two_colouring(g) is not None:
-            continue  # a bipartite core: the rule above skips it
+
+    def may_be_core(g: Graph) -> bool:
+        # No zero row or two equal rows (singular), nor skipped by the rule above.
+        return 0 not in g.adj and len(set(g.adj)) == r and (
+            cls.bipartite is not False or two_colouring(g) is None
+        )
+
+    graphs_of_order(r - 1, name)  # generates and caches the levels below r
+    for g, form in _children(name, _level(name, r - 1), may_be_core):
         a = adjacency_matrix(g)
         d = det_exact(a)
         if d:
@@ -293,19 +317,19 @@ def _swap_gains_edges(core: Core, cls: GraphClass):
     # edges iff u is in below[|b|] outside b or in below[|b| - 1] inside it.
     below = [mask_of(u for u in range(r) if degrees[u] < k) for k in range(r + 1)]
     # rest[u]: None when every swap for u stays in the class, otherwise the
-    # 2-colouring of core - u (u isolated), which b must break.
-    rest: list[Colouring | None] = [None] * r
-    if cls.bipartite is False:
-        for u in range(r):
+    # 2-colouring of core - u (u isolated), which b must break; built on
+    # first use.
+    rest: dict[int, Colouring | None] = {} if cls.bipartite is False else dict.fromkeys(range(r))
+
+    def stays(u: int, b: int) -> bool:
+        if u not in rest:
             rows = tuple(0 if v == u else row & ~(1 << u) for v, row in enumerate(g.adj))
             rest[u] = two_colouring(Graph(r, rows))
+        return rest[u] is None or add_to_colouring(rest[u], 1 << r, b & ~(1 << u)) is None
 
     def gains(b: int, y: tuple[int, ...]) -> bool:
         k = b.bit_count()
-        return any(
-            y[u] and (rest[u] is None or add_to_colouring(rest[u], 1 << r, b & ~(1 << u)) is None)
-            for u in bits(below[k] & ~b | below[k - 1] & b)
-        )
+        return any(y[u] and stays(u, b) for u in bits(below[k] & ~b | below[k - 1] & b))
 
     return gains
 

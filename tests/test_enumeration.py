@@ -11,6 +11,7 @@ import pytest
 
 import rankforge
 from rankforge.canonical import (
+    _refine,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -27,9 +28,11 @@ from rankforge.constructions import (
 from rankforge.enumeration import (
     _CONFLICTS,
     _HEREDITARY,
+    Core,
     ExtensionCandidate,
     GraphClass,
     _admissible,
+    _children,
     _level,
     all_extensions,
     candidates,
@@ -56,7 +59,7 @@ from rankforge.graphs import (
     permute_mask,
     two_colouring,
 )
-from rankforge.linalg import adjacency_matrix, det_exact, rank_exact
+from rankforge.linalg import adjacency_matrix, adjugate, det_exact, rank_exact
 
 from conftest import fraction_rank, labeled_graphs, leibniz_det
 
@@ -126,6 +129,16 @@ def test_triangle_free_counts_to_nine():
 @pytest.mark.extended
 def test_triangle_free_count_at_ten():
     assert len(graphs_of_order(10, "triangle-free")) == 12172  # OEIS A006785
+
+
+@pytest.mark.extended
+def test_triangle_free_count_at_eleven():
+    # Counted from the stream of accepted children, as gen_cores streams its
+    # top level: level 11 is never cached.
+    level10 = _level("triangle-free", 10)
+    cached = _level.cache_info().currsize
+    assert sum(1 for _ in _children("triangle-free", level10)) == 105071  # OEIS A006785
+    assert _level.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize(
@@ -200,7 +213,8 @@ def _subset_orbit_reps(k, gens):
 def test_degree_pretest_rejects_only_what_the_orbit_test_rejects(name, top):
     # Reference: the level built with a full canonical labeling of every
     # child that passes the class predicate, over one neighbourhood per orbit
-    # of all 2^k subsets, as before the conflict rule and the degree pre-test.
+    # of all 2^k subsets, without the conflict rule, the degree pre-test and
+    # the root-cell test.
     pred = _HEREDITARY[name]
     for n in range(2, top + 1):
         accepted = []
@@ -215,6 +229,11 @@ def test_degree_pretest_rejects_only_what_the_orbit_test_rejects(name, top):
                 # The pre-test drops a child whose added vertex is below the
                 # child's maximum degree: the orbit test must drop it too.
                 if child.adj[-1].bit_count() < max(r.bit_count() for r in child.adj):
+                    assert not passes
+                # So does the root-cell test, for an added vertex outside the
+                # last cell of the root refinement.
+                full = (1 << child.n) - 1
+                if not _refine(child.adj, [full], [full])[-1] >> parent.n:
                     assert not passes
                 if passes:
                     accepted.append((child, cf))
@@ -259,6 +278,37 @@ def test_gen_cores_rank5_count_matches_brute_force():
     }
     assert {canonical_form(c.graph).cert for c in cores} == brute
     assert len(cores) == len(brute)
+
+
+def _cores_from_cached_level(r, cls):
+    """Reference cores: the whole level r, cached and then filtered, with
+    det and adjugate of every graph that may be a core."""
+    out = []
+    for g, form in _level(cls.hereditary_name, r):
+        if 0 in g.adj or len(set(g.adj)) < r:
+            continue
+        if cls.bipartite is False and two_colouring(g) is not None:
+            continue
+        a = adjacency_matrix(g)
+        d = det_exact(a)
+        if d:
+            adjug = tuple(tuple(row) for row in adjugate(a))
+            out.append(Core(graph=g, det=d, adjug=adjug, generators=form.generators))
+    return out
+
+
+@pytest.mark.parametrize(
+    "r, cls",
+    [(r, cls) for r in range(4, 9) for cls in GraphClass]
+    + [(9, GraphClass.TRIANGLE_FREE), (9, GraphClass.TRIANGLE_FREE_NONBIPARTITE)],
+)
+def test_streamed_cores_match_the_filtered_cached_level(r, cls):
+    """Same cores in the same order, with the same det, adjugate and
+    generators; and the streamed level r is not cached."""
+    _level.cache_clear()
+    streamed = list(gen_cores(r, cls))
+    assert _level.cache_info().currsize == r - 1
+    assert streamed == _cores_from_cached_level(r, cls)
 
 
 def test_gen_cores_examples():
