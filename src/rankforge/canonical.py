@@ -48,6 +48,19 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
     while queue and len(cells) < n:
         splitter = queue.popleft()
         new_cells: list[int] = []
+        if not splitter & (splitter - 1):
+            # A singleton {u} gives counts 0 and 1: each cell splits into its
+            # non-neighbours of u, which are queued, and then its neighbours.
+            nbrs = adj[splitter.bit_length() - 1]
+            for cell in cells:
+                inside = cell & nbrs
+                if inside and inside != cell:
+                    new_cells += [cell ^ inside, inside]
+                    queue.append(cell ^ inside)
+                else:
+                    new_cells.append(cell)
+            cells = new_cells
+            continue
         changed = False
         for cell in cells:
             if not cell & (cell - 1):
@@ -171,7 +184,7 @@ def _group_order(n: int, gens) -> int:
     return order
 
 
-def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
+def _search(n: int, adj: tuple[int, ...], root: list[int]) -> tuple[bytes, Perm, list[Perm]]:
     best_cert: bytes | None = None
     best_perm: Perm | None = None
     best_inv: Perm | None = None
@@ -221,8 +234,7 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
             rec(_refine(adj, split, [1 << v]), prefix + [v])
             done.append(v)
 
-    full = (1 << n) - 1
-    rec(_refine(adj, [full], [full]) if n else [], [])
+    rec(root, [])
     if n == 0:
         return b"", (), []
     if best_cert is None or best_perm is None:
@@ -230,8 +242,13 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[bytes, Perm, list[Perm]]:
     return best_cert, best_perm, gens
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    cert, perm, gens = _search(g.n, g.adj)
+def canonical_form(g: Graph, root: list[int] | None = None) -> CanonicalForm:
+    """``root``, if given, is the root refinement ``_refine(g.adj, [full],
+    [full])`` that a caller already computed; by default it is computed."""
+    if root is None:
+        full = g.vertices_mask
+        root = _refine(g.adj, [full], [full]) if g.n else []
+    cert, perm, gens = _search(g.n, g.adj, root)
     orbits = tuple(_orbit_partition(g.n, gens))
     return CanonicalForm(
         n=g.n,

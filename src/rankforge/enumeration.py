@@ -14,8 +14,9 @@ kept when its new vertex shares an orbit with the last canonical position.
 It is dropped unlabeled when that vertex is outside the last cell of the
 root refinement: labeling puts each root cell on its own interval of
 positions and automorphisms map each root cell onto itself, so the orbit of
-the last position lies in that cell. The levels below r are cached; level r
-is streamed, and only children that may be cores are labeled. Per core, a
+the last position lies in that cell. The levels below r - 1 are cached;
+levels r - 1 and r are streamed, and only children that may be cores, or
+parents of cores (nullity at most 1), are labeled. Per core, a
 branch-and-bound clique search over pairwise-compatible extension vectors
 finds the maximum completions.
 
@@ -30,7 +31,6 @@ the most edges, whose candidates keep all of its vertices.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import sys
 import time
@@ -53,7 +53,6 @@ from .graphs import (
     Graph,
     InternalError,
     add_to_colouring,
-    add_vertex,
     bipartition,
     bits,
     is_connected,
@@ -170,10 +169,14 @@ def _admissible(k: int, conflicts) -> list[int]:
 
 def _children(pred_name: str, parents, keep=None):
     """Each accepted child of ``parents`` (one level of graphs with their
-    canonical forms) with its canonical form, in level order. ``keep``, an
-    isomorphism-invariant test, drops whole classes before labeling, as
-    the root-cell test does (see the module docstring)."""
+    canonical forms) with its canonical form, in level order. After the
+    root-cell test (see the module docstring), ``keep``, an
+    isomorphism-invariant test on the child's adjacency rows, drops whole
+    classes before labeling. A child is built as a ``Graph`` only for
+    labeling."""
     for parent, pform in parents:
+        n = parent.n
+        bit, full = 1 << n, (1 << n + 1) - 1
         degrees = [row.bit_count() for row in parent.adj]
         top = max(degrees)
         top_mask = sum(1 << v for v, d in enumerate(degrees) if d == top)
@@ -186,21 +189,23 @@ def _children(pred_name: str, parents, keep=None):
         # whole, and its first member, the smallest, stands for it.
         masks = (
             nb
-            for nb in _admissible(parent.n, _CONFLICTS[pred_name](parent))
+            for nb in _admissible(n, _CONFLICTS[pred_name](parent))
             if nb.bit_count() >= top + bool(nb & top_mask)
         )
         for _, orbit in orbits(masks, pform.generators, permute_mask):
-            child = add_vertex(parent, orbit[0])
-            if keep is not None and not keep(child):
-                continue
-            full = (1 << child.n) - 1
-            if not _refine(child.adj, [full], [full])[-1] >> parent.n:
+            nb = orbit[0]
+            rows = (*(row | bit if nb >> v & 1 else row for v, row in enumerate(parent.adj)), nb)
+            root = _refine(rows, [full], [full])
+            if not root[-1] >> n:
                 continue  # the new vertex is not in the last root cell
-            cf = canonical_form(child)
+            if keep is not None and not keep(rows):
+                continue
+            child = Graph(n + 1, rows)
+            cf = canonical_form(child, root)
             # Accept the child only when the added vertex sits in the same
             # orbit as the canonical deletion vertex (last canonical position).
-            vstar = cf.labeling.index(child.n - 1)
-            if cf.orbits[vstar] == cf.orbits[child.n - 1]:
+            vstar = cf.labeling.index(n)
+            if cf.orbits[vstar] == cf.orbits[n]:
                 yield child, cf
 
 
@@ -243,9 +248,20 @@ def gen_cores(r: int, cls: GraphClass):
     nonsingular adjacency matrix; in the non-bipartite class, only the
     non-bipartite ones.
 
-    Level r is streamed, never cached. A child is labeled only when it is
-    in the last root cell (see the module docstring) and ``may_be_core``, an
-    isomorphism-invariant test, and only accepted ones reach ``det_exact``.
+    Levels r - 1 and r are streamed, never cached. A child is labeled only
+    when it is in the last root cell (see the module docstring) and passes
+    an isomorphism-invariant test: at level r ``may_be_core``, at level
+    r - 1 ``may_be_parent``. Only accepted level-r children reach
+    ``det_exact``.
+
+    Rank screen. A core's parent, the core minus its canonical deletion
+    vertex, has rank at least r - 2, that is nullity at most 1: appending a
+    row and then a column to a matrix raises its rank by at most 1 each, so
+    a child has at most its parent's rank plus 2, and every child of a
+    parent of rank below r - 2 is singular. The screen is a test on the
+    whole parent class, so each core class keeps its canonical parent and is
+    still generated once. The rank is at most the number of distinct nonzero
+    rows, so ``rank_exact`` runs only when that bound does not reject.
 
     Non-bipartite core rule. Every graph G of that class has a non-bipartite
     core. G is triangle-free with an odd cycle, so its shortest odd cycle C
@@ -261,14 +277,21 @@ def gen_cores(r: int, cls: GraphClass):
     _rank_range_check(r)
     name = cls.hereditary_name
 
-    def may_be_core(g: Graph) -> bool:
-        # No zero row or two equal rows (singular), nor skipped by the rule above.
-        return 0 not in g.adj and len(set(g.adj)) == r and (
-            cls.bipartite is not False or two_colouring(g) is None
+    def may_be_parent(rows) -> bool:
+        # Rank at least r - 2 (the screen above), first bounded by the rows.
+        return len(set(rows) - {0}) >= r - 2 and (
+            rank_exact([[row >> j & 1 for j in range(r - 1)] for row in rows]) >= r - 2
         )
 
-    graphs_of_order(r - 1, name)  # generates and caches the levels below r
-    for g, form in _children(name, _level(name, r - 1), may_be_core):
+    def may_be_core(rows) -> bool:
+        # No zero row or two equal rows (singular), nor skipped by the rule above.
+        return 0 not in rows and len(set(rows)) == r and (
+            cls.bipartite is not False or two_colouring(Graph(r, rows)) is None
+        )
+
+    graphs_of_order(r - 2, name)  # generates and caches the levels below r - 1
+    parents = _children(name, _level(name, r - 2), may_be_parent)
+    for g, form in _children(name, parents, may_be_core):
         a = adjacency_matrix(g)
         d = det_exact(a)
         if d:
@@ -685,6 +708,8 @@ def enumerate_extremal(
     results: list[ExtensionResult] = []
     with contextlib.ExitStack() as stack:
         if jobs and jobs > 1 and len(cores) > 1:
+            import multiprocessing  # only here: it slows the package import
+
             pool = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs))
             it = pool.imap(partial(max_extension, cls=cls), cores, chunksize=4)
         else:

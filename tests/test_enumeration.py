@@ -304,11 +304,42 @@ def _cores_from_cached_level(r, cls):
 )
 def test_streamed_cores_match_the_filtered_cached_level(r, cls):
     """Same cores in the same order, with the same det, adjugate and
-    generators; and the streamed level r is not cached."""
+    generators; and the streamed levels r - 1 and r are not cached."""
     _level.cache_clear()
     streamed = list(gen_cores(r, cls))
-    assert _level.cache_info().currsize == r - 1
+    assert _level.cache_info().currsize == r - 2
     assert streamed == _cores_from_cached_level(r, cls)
+
+
+@pytest.mark.parametrize("r, cls", [(r, cls) for r in range(4, 9) for cls in GraphClass])
+def test_rank_screen_rejects_only_graphs_whose_children_are_all_singular(monkeypatch, r, cls):
+    # Record the (r - 1)-vertex graphs that gen_cores' rank screen rejects,
+    # then grow each by every admissible neighbourhood: all children must be
+    # singular. The rejected graphs' rank comes from the Fraction oracle; the
+    # children's, tens of thousands at r = 8, from Bareiss (checked against
+    # that oracle in test_linalg).
+    from rankforge import enumeration
+
+    real = enumeration._children
+    rejected = []
+
+    def recording(pred_name, parents, keep=None):
+        def screen(rows):
+            kept = keep(rows)
+            if not kept and len(rows) == r - 1:
+                rejected.append(Graph(r - 1, rows))
+            return kept
+
+        return real(pred_name, parents, keep and screen)
+
+    monkeypatch.setattr(enumeration, "_children", recording)
+    list(gen_cores(r, cls))
+    conflicts = _CONFLICTS[cls.hereditary_name]
+    for g in rejected:
+        assert fraction_rank(adjacency_matrix(g)) < r - 2
+        for nb in _admissible(g.n, conflicts(g)):
+            assert rank_exact(adjacency_matrix(add_vertex(g, nb))) < r, (g, nb)
+    assert rejected or r == 4
 
 
 def test_gen_cores_examples():
