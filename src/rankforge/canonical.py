@@ -235,8 +235,6 @@ def _search(n: int, adj: tuple[int, ...], root: list[int]) -> tuple[bytes, Perm,
             done.append(v)
 
     rec(root, [])
-    if n == 0:
-        return b"", (), []
     if best_cert is None or best_perm is None:
         raise InternalError("canonical search reached no leaf")
     return best_cert, best_perm, gens

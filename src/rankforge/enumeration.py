@@ -14,9 +14,8 @@ kept when its new vertex shares an orbit with the last canonical position.
 It is dropped unlabeled when that vertex is outside the last cell of the
 root refinement: labeling puts each root cell on its own interval of
 positions and automorphisms map each root cell onto itself, so the orbit of
-the last position lies in that cell. The levels below r - 1 are cached;
-levels r - 1 and r are streamed, and only children that may be cores, or
-parents of cores (nullity at most 1), are labeled. Per core, a
+the last position lies in that cell. Generation is one uncached stream that
+labels only graphs that may grow into cores (see ``gen_cores``). Per core, a
 branch-and-bound clique search over pairwise-compatible extension vectors
 finds the maximum completions.
 
@@ -36,11 +35,11 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat
 from operator import add
 
-from .canonical import CanonicalForm, _refine, canonical_form, canonical_graph, orbits, to_graph6
+from .canonical import _refine, canonical_form, canonical_graph, orbits, to_graph6
 from .constructions import (
     b_bound,
     bipartite_remark_graph,
@@ -134,9 +133,9 @@ _HEREDITARY = {
 
 
 def _opposite_sides(g: Graph) -> list[int]:
-    """Per vertex, the other side of its component in ``two_colouring(g)``."""
+    """Per vertex, the other side of its component in ``two_colouring(g.adj)``."""
     out = [0] * g.n
-    for side, other in two_colouring(g):
+    for side, other in two_colouring(g.adj):
         for v in bits(side):
             out[v] = other
         for v in bits(other):
@@ -209,14 +208,16 @@ def _children(pred_name: str, parents, keep=None):
                 yield child, cf
 
 
-@lru_cache(maxsize=None)
-def _level(pred_name: str, n: int) -> tuple[tuple[Graph, CanonicalForm], ...]:
+def _level(pred_name: str, n: int, keep=None):
     """All graphs on exactly n vertices satisfying the hereditary predicate,
-    one per isomorphism class, each with its canonical form."""
+    one per isomorphism class, each with its canonical form, streamed; with
+    ``keep`` (see ``_children``), only those that pass it with every ancestor."""
     if n == 1:
         k1 = Graph(1, (0,))  # in every class
-        return ((k1, canonical_form(k1)),)
-    return tuple(_children(pred_name, _level(pred_name, n - 1)))
+        if keep is None or keep(k1.adj):
+            yield k1, canonical_form(k1)
+    else:
+        yield from _children(pred_name, _level(pred_name, n - 1, keep), keep)
 
 
 def graphs_of_order(n: int, hereditary_name: str) -> tuple[Graph, ...]:
@@ -248,20 +249,20 @@ def gen_cores(r: int, cls: GraphClass):
     nonsingular adjacency matrix; in the non-bipartite class, only the
     non-bipartite ones.
 
-    Levels r - 1 and r are streamed, never cached. A child is labeled only
-    when it is in the last root cell (see the module docstring) and passes
-    an isomorphism-invariant test: at level r ``may_be_core``, at level
-    r - 1 ``may_be_parent``. Only accepted level-r children reach
-    ``det_exact``.
+    Generation is one stream, cached nowhere. A child is labeled only when
+    it is in the last root cell (see the module docstring) and passes an
+    isomorphism-invariant test: below level r the rank screen, at level r
+    ``may_be_core``. Only accepted level-r children reach ``det_exact``.
 
-    Rank screen. A core's parent, the core minus its canonical deletion
-    vertex, has rank at least r - 2, that is nullity at most 1: appending a
-    row and then a column to a matrix raises its rank by at most 1 each, so
-    a child has at most its parent's rank plus 2, and every child of a
-    parent of rank below r - 2 is singular. The screen is a test on the
-    whole parent class, so each core class keeps its canonical parent and is
-    still generated once. The rank is at most the number of distinct nonzero
-    rows, so ``rank_exact`` runs only when that bound does not reject.
+    Rank screen. A graph on n < r vertices is kept iff its rank is at least
+    2n - r (nullity at most r - n). Appending a row and then a column raises
+    a rank by at most 1 each, so each vertex still to come raises it by at
+    most 2: every induced subgraph of a core, each canonical parent in its
+    chain included, meets the bound, and the screen, a test on whole
+    isomorphism classes, keeps each core generated once. It passes at once
+    when 2n - r <= 0; otherwise it needs 2n - r distinct nonzero rows (the
+    rank is at most their number), exact for 2n - r <= 2 since an edge
+    gives rank 2, and ``rank_exact`` runs only above that.
 
     Non-bipartite core rule. Every graph G of that class has a non-bipartite
     core. G is triangle-free with an odd cycle, so its shortest odd cycle C
@@ -277,21 +278,21 @@ def gen_cores(r: int, cls: GraphClass):
     _rank_range_check(r)
     name = cls.hereditary_name
 
-    def may_be_parent(rows) -> bool:
-        # Rank at least r - 2 (the screen above), first bounded by the rows.
-        return len(set(rows) - {0}) >= r - 2 and (
-            rank_exact([[row >> j & 1 for j in range(r - 1)] for row in rows]) >= r - 2
+    def screen(rows) -> bool:
+        # Rank at least 2n - r (above), first bounded by the rows.
+        n = len(rows)
+        need = 2 * n - r
+        return need <= 0 or len(set(rows) - {0}) >= need and (
+            need <= 2 or rank_exact([[row >> j & 1 for j in range(n)] for row in rows]) >= need
         )
 
     def may_be_core(rows) -> bool:
         # No zero row or two equal rows (singular), nor skipped by the rule above.
         return 0 not in rows and len(set(rows)) == r and (
-            cls.bipartite is not False or two_colouring(Graph(r, rows)) is None
+            cls.bipartite is not False or two_colouring(rows) is None
         )
 
-    graphs_of_order(r - 2, name)  # generates and caches the levels below r - 1
-    parents = _children(name, _level(name, r - 2), may_be_parent)
-    for g, form in _children(name, parents, may_be_core):
+    for g, form in _children(name, _level(name, r - 1, screen), may_be_core):
         a = adjacency_matrix(g)
         d = det_exact(a)
         if d:
@@ -347,7 +348,7 @@ def _swap_gains_edges(core: Core, cls: GraphClass):
     def stays(u: int, b: int) -> bool:
         if u not in rest:
             rows = tuple(0 if v == u else row & ~(1 << u) for v, row in enumerate(g.adj))
-            rest[u] = two_colouring(Graph(r, rows))
+            rest[u] = two_colouring(rows)
         return rest[u] is None or add_to_colouring(rest[u], 1 << r, b & ~(1 << u)) is None
 
     def gains(b: int, y: tuple[int, ...]) -> bool:
@@ -472,7 +473,7 @@ class _Search:
         self.floor = floor
         self.maximize = maximize
         self.sets: list[tuple[int, ...]] = []
-        colouring = None if self.bipartite is None else two_colouring(self.core.graph)
+        colouring = None if self.bipartite is None else two_colouring(self.core.graph.adj)
         self._rec([], 0, (1 << len(self.cands)) - 1, colouring)
         return self.sets
 

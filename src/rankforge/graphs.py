@@ -220,11 +220,11 @@ def add_to_colouring(colouring: Colouring, vbit: int, nbrs: int) -> Colouring | 
     return out
 
 
-def two_colouring(g: Graph) -> Colouring | None:
-    """``add_to_colouring`` folded over the vertices in index order; None at
-    the first odd cycle."""
+def two_colouring(adj: tuple[int, ...]) -> Colouring | None:
+    """``add_to_colouring`` folded over the vertices of the graph with
+    adjacency rows ``adj`` in index order; None at the first odd cycle."""
     colouring: Colouring | None = []
-    for v, row in enumerate(g.adj):
+    for v, row in enumerate(adj):
         colouring = add_to_colouring(colouring, 1 << v, row & ((1 << v) - 1))
         if colouring is None:
             return None
@@ -237,7 +237,7 @@ def bipartition(g: Graph) -> Optional[tuple[int, int]]:
     The component root (its smallest vertex) lands in the first part, so
     isolated vertices always sit in the first part.
     """
-    colouring = two_colouring(g)
+    colouring = two_colouring(g.adj)
     if colouring is None:
         return None
     first = second = 0

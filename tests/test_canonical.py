@@ -88,6 +88,9 @@ def test_group_size_known_values():
     assert canonical_form(path_graph(5)).group_size == 2
     assert canonical_form(Graph(6, (0,) * 6)).group_size == math.factorial(6)
     assert canonical_form(subset_incidence_graph(4)).group_size == 24
+    empty = canonical_form(Graph(0, ()))
+    assert (empty.cert, empty.labeling, empty.generators, empty.group_size) == (b"", (), (), 1)
+    assert canonical_graph(Graph(0, ())) == Graph(0, ())
 
 
 def test_are_isomorphic_examples():

@@ -136,9 +136,7 @@ def test_triangle_free_count_at_eleven():
     # Counted from the stream of accepted children, as gen_cores streams its
     # top level: level 11 is never cached.
     level10 = _level("triangle-free", 10)
-    cached = _level.cache_info().currsize
     assert sum(1 for _ in _children("triangle-free", level10)) == 105071  # OEIS A006785
-    assert _level.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize(
@@ -237,7 +235,7 @@ def test_degree_pretest_rejects_only_what_the_orbit_test_rejects(name, top):
                     assert not passes
                 if passes:
                     accepted.append((child, cf))
-        assert _level(name, n) == tuple(accepted)
+        assert tuple(_level(name, n)) == tuple(accepted)
 
 
 @pytest.mark.parametrize("name", sorted(_HEREDITARY))
@@ -280,14 +278,15 @@ def test_gen_cores_rank5_count_matches_brute_force():
     assert len(cores) == len(brute)
 
 
-def _cores_from_cached_level(r, cls):
-    """Reference cores: the whole level r, cached and then filtered, with
-    det and adjugate of every graph that may be a core."""
+def _cores_from_whole_level(r, cls):
+    """Reference cores: the whole level r, generated without the rank screen
+    and then filtered, with det and adjugate of every graph that may be a
+    core."""
     out = []
     for g, form in _level(cls.hereditary_name, r):
         if 0 in g.adj or len(set(g.adj)) < r:
             continue
-        if cls.bipartite is False and two_colouring(g) is not None:
+        if cls.bipartite is False and two_colouring(g.adj) is not None:
             continue
         a = adjacency_matrix(g)
         d = det_exact(a)
@@ -304,20 +303,20 @@ def _cores_from_cached_level(r, cls):
 )
 def test_streamed_cores_match_the_filtered_cached_level(r, cls):
     """Same cores in the same order, with the same det, adjugate and
-    generators; and the streamed levels r - 1 and r are not cached."""
-    _level.cache_clear()
+    generators."""
     streamed = list(gen_cores(r, cls))
-    assert _level.cache_info().currsize == r - 2
-    assert streamed == _cores_from_cached_level(r, cls)
+    assert streamed == _cores_from_whole_level(r, cls)
 
 
 @pytest.mark.parametrize("r, cls", [(r, cls) for r in range(4, 9) for cls in GraphClass])
 def test_rank_screen_rejects_only_graphs_whose_children_are_all_singular(monkeypatch, r, cls):
-    # Record the (r - 1)-vertex graphs that gen_cores' rank screen rejects,
-    # then grow each by every admissible neighbourhood: all children must be
-    # singular. The rejected graphs' rank comes from the Fraction oracle; the
-    # children's, tens of thousands at r = 8, from Bareiss (checked against
-    # that oracle in test_linalg).
+    # Record every graph, on any n < r vertices, that gen_cores' rank screen
+    # rejects, then grow each by every admissible neighbourhood. A rejected
+    # graph must have rank below 2n - r, and each of its children rank below
+    # 2(n + 1) - r: by induction every r-vertex descendant is singular. The
+    # rejected graphs' rank comes from the Fraction oracle; the children's,
+    # tens of thousands at r = 8, from Bareiss (checked against that oracle
+    # in test_linalg).
     from rankforge import enumeration
 
     real = enumeration._children
@@ -326,8 +325,8 @@ def test_rank_screen_rejects_only_graphs_whose_children_are_all_singular(monkeyp
     def recording(pred_name, parents, keep=None):
         def screen(rows):
             kept = keep(rows)
-            if not kept and len(rows) == r - 1:
-                rejected.append(Graph(r - 1, rows))
+            if not kept and len(rows) < r:
+                rejected.append(Graph(len(rows), rows))
             return kept
 
         return real(pred_name, parents, keep and screen)
@@ -336,9 +335,9 @@ def test_rank_screen_rejects_only_graphs_whose_children_are_all_singular(monkeyp
     list(gen_cores(r, cls))
     conflicts = _CONFLICTS[cls.hereditary_name]
     for g in rejected:
-        assert fraction_rank(adjacency_matrix(g)) < r - 2
+        assert fraction_rank(adjacency_matrix(g)) < 2 * g.n - r
         for nb in _admissible(g.n, conflicts(g)):
-            assert rank_exact(adjacency_matrix(add_vertex(g, nb))) < r, (g, nb)
+            assert rank_exact(adjacency_matrix(add_vertex(g, nb))) < 2 * (g.n + 1) - r, (g, nb)
     assert rejected or r == 4
 
 
@@ -610,7 +609,7 @@ def test_colouring_helper_matches_bipartition(reduced_corpus):
         h = nx.Graph()
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges())
-        colouring = two_colouring(g)
+        colouring = two_colouring(g.adj)
         parts = bipartition(g)
         assert (colouring is None) == (parts is None) == (not nx.is_bipartite(h))
         if colouring is not None:
@@ -945,7 +944,10 @@ def test_traced_names_resolve_on_enumeration():
 
     from rankforge import enumeration
 
+    # A renamed name would otherwise break traced benchmark runs silently.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    if not path.is_file():
+        pytest.skip("no perfbench/ next to the tests")
     spec = importlib.util.spec_from_file_location("perfbench_traced", path)
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
