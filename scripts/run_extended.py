@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Extended runs: sharded rank-9 enumeration with report merging, and the
-cutoff-free exhaustive code search at length 6 (~1 minute).
+cutoff-free exhaustive code search at length 6 (about 55 s).
 
 The sharded path exists to demonstrate resumability: each shard writes its own
 report file, and the merge reproduces the single-run report exactly (modulo

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Graph, InternalError, bits
+from .graphs import Graph, InternalError, _clique_cover_bound, bits, mask_of
 from .linalg import rank_exact
 
 EQUALITY_NONE = "none"
@@ -201,25 +201,6 @@ def _feasible_extend(basis: list[tuple[int, ...]], word: int, n: int):
     return basis  # redundant equation
 
 
-def _greedy_matching_bound(pool_words: list[int], n: int) -> int:
-    """Upper bound on the largest distance->=2 subset: |pool| - greedy matching
-    over distance-1 pairs (the conflict graph is bipartite by parity)."""
-    pool = set(pool_words)
-    matched: set[int] = set()
-    size = 0
-    for w in pool_words:
-        if w in matched:
-            continue
-        for i in range(n):
-            other = w ^ (1 << i)
-            if other > w and other in pool and other not in matched:
-                matched.add(w)
-                matched.add(other)
-                size += 1
-                break
-    return len(pool_words) - size
-
-
 def _constant_weight_code(n: int, weight: int) -> BinaryCode:
     words = [w for w in range(1 << n) if w.bit_count() == weight]
     return BinaryCode(n, tuple(words))
@@ -232,10 +213,12 @@ def rowspace_distance2_max(
     all-ones in the rational row space, with one maximizer.
 
     Branch and bound over words in ascending order. Pruning: incremental
-    rational feasibility (hereditary downward) and a matching-based counting
-    bound. The incumbent is seeded with the constant-weight floor(n/2) code,
-    which meets every hypothesis; with the proven 5*2^(n-4) cutoff a seed
-    that attains the bound is returned without a search.
+    rational feasibility (hereditary downward) and the greedy clique cover of
+    the pool in the distance-1 graph, which has no triangles, so the cover is
+    a greedy matching plus singletons. The incumbent is seeded with the
+    constant-weight floor(n/2) code, which meets every hypothesis; with the
+    proven 5*2^(n-4) cutoff a seed that attains the bound is returned without
+    a search.
     """
     if not 5 <= n <= 6:
         raise ValueError("search is guarded to lengths 5 and 6")
@@ -247,28 +230,24 @@ def rowspace_distance2_max(
         return len(seed), seed
     best_size = len(seed)
     best_words = list(seed.words)
+    near = [mask_of(w ^ (1 << i) for i in range(n)) for w in range(1 << n)]
 
-    def rec(chosen: list[int], basis, start: int):
+    def rec(chosen: list[int], basis, pool: int):
         nonlocal best_size, best_words
         if len(chosen) > best_size:
             best_size = len(chosen)
             best_words = chosen[:]
-        # The zero word is never usable: it forces a zero column, so the
-        # all-ones vector cannot lie in the row space.
-        pool = [
-            w
-            for w in range(max(start, 1), 1 << n)
-            if all((w ^ c).bit_count() >= 2 for c in chosen)
-        ]
-        if len(chosen) + _greedy_matching_bound(pool, n) <= best_size:
+        if len(chosen) + _clique_cover_bound(near, pool) <= best_size:
             return
-        for w in pool:
+        for w in bits(pool):
             nb = _feasible_extend(basis, w, n)
             if nb is None:
                 continue
             chosen.append(w)
-            rec(chosen, nb, w + 1)
+            rec(chosen, nb, pool & ~near[w] & -(2 << w))
             chosen.pop()
 
-    rec([], [], 0)
+    # The zero word is never usable: it forces a zero column, so the
+    # all-ones vector cannot lie in the row space.
+    rec([], [], (1 << (1 << n)) - 2)
     return best_size, BinaryCode(n, tuple(best_words))

@@ -51,6 +51,7 @@ from .graphs import (
     Colouring,
     Graph,
     InternalError,
+    _clique_cover_bound,
     add_to_colouring,
     bipartition,
     bits,
@@ -420,12 +421,19 @@ class _Search:
     """Per-core branch-and-bound over pairwise-compatible extension sets.
 
     One rule serves both callers: record every valid set of size >= floor,
-    and prune a subtree when its size plus the colouring bound is < floor.
-    ``run(maximize=True)`` starts at floor 0 and raises it to each larger set
-    found, dropping smaller records, so every optimal set (ties included)
-    survives. Candidate i is vertex r + i of the completion, whose 2-colouring
-    is carried down the recursion when the class constrains bipartiteness
-    (None once it has an odd cycle, and throughout when it does not).
+    and prune a subtree when its size plus the greedy clique cover of the
+    pool in the incompatibility graph is < floor (a compatible set takes at
+    most one vertex of each clique). ``run(maximize=True)`` starts at floor 0
+    and raises it to each larger set found, dropping smaller records, so
+    every optimal set (ties included) survives. Candidate i is vertex r + i
+    of the completion, whose 2-colouring is carried down the recursion when
+    the class constrains bipartiteness (None once it has an odd cycle, and
+    throughout when it does not).
+
+    For tfnb, ``gen_cores`` lists only non-bipartite cores, so the pipeline
+    starts every tfnb search with no colouring. The colouring still runs when
+    a caller passes a bipartite core with the tfnb class: the core-rule tests
+    do so on purpose and take this search as their reference.
     """
 
     def __init__(self, core: Core, cls: GraphClass):
@@ -450,22 +458,9 @@ class _Search:
                 if bit == 1:
                     self.forced1[i] |= 1 << j
                     self.forced1[j] |= 1 << i
+        full = (1 << k) - 1
+        self.incompat = [full & ~c & ~(1 << i) for i, c in enumerate(self.compat)]
         self.nodes = 0
-
-    def _color_bound(self, pool: int) -> int:
-        classes: list[int] = []
-        m = pool
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            for ci, cmask in enumerate(classes):
-                if not cmask & self.compat[v]:
-                    classes[ci] = cmask | low
-                    break
-            else:
-                classes.append(low)
-        return len(classes)
 
     def run(self, floor: int = 0, maximize: bool = False) -> list[tuple[int, ...]]:
         """Valid index sets (ascending) of size >= floor, or with ``maximize``
@@ -488,7 +483,7 @@ class _Search:
                 self.sets = []
             if size >= self.floor:
                 self.sets.append(tuple(chosen))
-        if size + self._color_bound(pool) < self.floor:
+        if size + _clique_cover_bound(self.incompat, pool) < self.floor:
             return
         shift = self.core.graph.n
         m = pool

@@ -7,7 +7,7 @@ down to single machine-word operations for every graph this toolkit handles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
 
@@ -281,8 +281,14 @@ def reduce_graph(g: Graph) -> Graph:
         g = induced_subgraph(g, keep)
 
 
-def _clique_cover_bound(adj: tuple[int, ...], pool: int) -> int:
-    """Greedy clique cover size of ``pool``: an upper bound on its independence number."""
+def _clique_cover_bound(adj: Sequence[int], pool: int) -> int:
+    """Greedy clique cover size of ``pool``: an upper bound on its independence number.
+
+    Each clique starts at the lowest uncovered vertex and takes, in ascending
+    order, every uncovered vertex adjacent to all its members, so the cliques
+    are the first-fit colour classes of the complement. ``adj`` must have no
+    loops: a vertex in its own row would never leave the candidate mask.
+    """
     count = 0
     rem = pool
     while rem:

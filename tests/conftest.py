@@ -46,7 +46,7 @@ def reduced_corpus() -> list[Graph]:
 @pytest.fixture(scope="session")
 def uncut_length6_optimum():
     """``rowspace_distance2_max(6)`` without the proven-bound cutoff, about
-    45 s: computed once for the tests that check it."""
+    55 s on 2 vCPUs: computed once for the tests that check it."""
     return rowspace_distance2_max(6, use_theorem_cutoff=False)
 
 

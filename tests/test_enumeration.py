@@ -789,6 +789,28 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+def test_assert_sound_names_each_failed_check():
+    from rankforge.enumeration import _assert_sound
+    from rankforge.graphs import InternalError, path_graph
+
+    with pytest.raises(InternalError, match="emitted graph is not reduced"):
+        _assert_sound(path_graph(3), 2, GraphClass.ALL)
+    with pytest.raises(InternalError, match="emitted graph violates its class predicate"):
+        _assert_sound(cycle_graph(5), 5, GraphClass.BIPARTITE)
+
+
+def test_lazy_exports_resolve_to_their_submodule_objects():
+    import importlib
+
+    for name in rankforge.__all__:
+        module = importlib.import_module(f"rankforge.{rankforge._MODULE_OF[name]}")
+        assert rankforge.__getattr__(name) is getattr(module, name)
+        assert getattr(rankforge, name) is getattr(module, name)
+    assert set(rankforge.__all__) <= set(dir(rankforge))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        rankforge.no_such_name
+
+
 def test_emitted_graphs_are_rechecked_after_canonicalization(monkeypatch):
     from rankforge import enumeration
     from rankforge.graphs import InternalError, cycle_graph
@@ -1008,6 +1030,24 @@ def test_report_payload_roundtrip():
         "elapsed_ms",
     ]
     assert report_from_payload(json.loads(json.dumps(payload))) == rep
+
+
+@pytest.mark.parametrize(
+    "r, cls, counters",
+    [
+        (7, GraphClass.ALL, (354, 2613, 16174)),
+        (8, GraphClass.TRIANGLE_FREE, (74, 702, 3711)),
+        (8, GraphClass.BIPARTITE, (43, 430, 2024)),
+        (8, GraphClass.TRIANGLE_FREE_NONBIPARTITE, (31, 277, 1592)),
+        (9, GraphClass.TRIANGLE_FREE_NONBIPARTITE, (135, 699, 2752)),
+    ],
+)
+def test_report_counters_are_pinned(r, cls, counters):
+    """The counters depend on the algorithm, not the machine: a change to
+    core generation, candidate listing, the search order or its bound that
+    moves them changes the algorithm."""
+    rep = enumerate_extremal(r, cls, jobs=1)
+    assert (rep.cores_processed, rep.candidates_total, rep.nodes_explored) == counters
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from rankforge.graphs import (
     bits,
     cycle_graph,
     from_edges,
+    induced_subgraph,
     is_reduced,
     mask_of,
     path_graph,
@@ -208,6 +209,53 @@ def test_obstruction_detected_on_handbuilt_pattern():
         verdicts={},
     )
     assert obstruction_free(solo)
+
+
+def test_labeling_failures_name_their_witness():
+    # Twin pairs {0, 1} over filler 4 and {2, 3} over filler 5, as above.
+    g = from_edges(
+        8,
+        [
+            (0, 4), (1, 4), (2, 5), (3, 5),
+            (6, 0), (6, 2),
+            (7, 0), (7, 1), (7, 3),
+        ],
+    )
+    classes = [[0, 1], [2, 3]]
+    # 7 hits both members of the first pair
+    assert structure._label_deleted(g, classes, mask_of((6, 7))) == (
+        ((0, 1), (2, 3)),
+        0,
+        0,
+        Verdict(ok=False, witness="deleted vertex 7 hits 2 members of class {0,1}"),
+    )
+    # 6 and 7 hit one member of each pair, but 6 hits both first members
+    # and 7 only one: the patterns are neither equal nor complements.
+    g = from_edges(
+        8,
+        [
+            (0, 4), (1, 4), (2, 5), (3, 5),
+            (6, 0), (6, 2),
+            (7, 0), (7, 3),
+        ],
+    )
+    assert structure._label_deleted(g, classes, mask_of((6, 7))) == (
+        ((0, 1), (2, 3)),
+        0,
+        0,
+        Verdict(ok=False, witness="incompatible hit patterns [(1, 0), (1, 1)]"),
+    )
+
+
+def test_isolated_vertex_with_another_neighborhood_fails_its_verdict():
+    # Path 0-1-2-3-4 without {1, 2}: 0 is isolated in H, but N(0) = {1}.
+    g = path_graph(5)
+    keep = mask_of((0, 3, 4))
+    sub = induced_subgraph(g, keep)
+    report = structure._build_report(g, 1, keep, sub, 4, 2, 2)
+    assert report.verdicts["isolated_neighborhood"] == Verdict(
+        ok=False, witness="isolated vertex 0 has N(w) != deleted set"
+    )
 
 
 def test_report_payload_shape():
