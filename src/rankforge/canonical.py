@@ -8,18 +8,16 @@ give the automorphism group order via a Schreier-Sims chain.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass
 from operator import getitem
+from typing import NamedTuple
 
 from .graphs import Graph, InternalError, bits, relabel
 
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     n: int
     cert: bytes
     orbits: tuple[int, ...]       # smallest vertex of each vertex's orbit
@@ -341,5 +339,7 @@ def from_graph6(s: str) -> Graph:
 
 def dumps_report(payload: dict) -> str:
     """Serialize a report dict preserving insertion (documented) key order."""
+    import json
+
     return json.dumps(payload, indent=2)
 

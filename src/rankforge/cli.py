@@ -3,25 +3,24 @@
 Exit codes: 0 success / theorem verified, 1 theorem counterexample found,
 2 usage or guard error, 3 internal error (a soundness re-check failed: a bug).
 
-The enumeration, code and lemma commands import their modules when they run,
-so a command compiles and keeps only what it uses.
+Each command imports the modules it runs when it runs, so it compiles and
+keeps only these rankforge modules besides ``cli`` and ``graphs``:
+
+  bounds                   constructions
+  construct                constructions, canonical
+  rank                     canonical, linalg
+  reduce, check            canonical
+  lemma                    structure, canonical, linalg
+  code                     codes, linalg (plotkin also canonical, for graph6)
+  enumerate                enumeration, canonical, linalg
+  verify                   enumeration, canonical, linalg, constructions
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .canonical import dumps_report, from_graph6, to_graph6
-from .constructions import (
-    bipartite_remark_graph,
-    bounds,
-    extremal_triangle_free,
-    extremal_triangle_free_recursive,
-    odd_subset_incidence_graph,
-    subset_incidence_graph,
-)
 from .graphs import (
     Graph,
     InternalError,
@@ -33,7 +32,6 @@ from .graphs import (
     mask_of,
     reduce_graph,
 )
-from .linalg import adjacency_matrix, rank_exact
 
 COUNTEREXAMPLE = 1
 USAGE_ERROR = 2
@@ -48,6 +46,8 @@ def _read_lines(source: str) -> list[str]:
 
 
 def _read_graphs(source: str) -> list[Graph]:
+    from .canonical import from_graph6
+
     graphs = [from_graph6(line) for line in _read_lines(source) if line.strip()]
     if not graphs:
         raise ValueError("no graph6 input")
@@ -70,6 +70,8 @@ def _emit(text: str, out: str | None):
 
 
 def _cmd_bounds(args) -> int:
+    from .constructions import bounds
+
     table = bounds(args.r)
     lines = [f"rank r = {table.rank}"]
     lines.append(f"  reduced max order          2^r-1  = {table.max_order}")
@@ -89,6 +91,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .canonical import to_graph6
+    from .constructions import (
+        bipartite_remark_graph,
+        extremal_triangle_free,
+        extremal_triangle_free_recursive,
+        odd_subset_incidence_graph,
+        subset_incidence_graph,
+    )
+
     kind, p = args.kind, args.param
     if kind == "B":
         g = subset_incidence_graph(p)
@@ -103,12 +114,16 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .linalg import adjacency_matrix, rank_exact
+
     for g in _read_graphs(args.input):
         print(rank_exact(adjacency_matrix(g)))
     return 0
 
 
 def _cmd_reduce(args) -> int:
+    from .canonical import to_graph6
+
     for g in _read_graphs(args.input):
         print(to_graph6(reduce_graph(g)))
     return 0
@@ -133,6 +148,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
+    from .canonical import dumps_report
     from .structure import (
         max_subgraph_below_rank,
         obstruction_free,
@@ -217,9 +233,12 @@ def _cmd_code(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     from . import enumeration as enum_mod
+    from .canonical import dumps_report
 
     cls = enum_mod.GraphClass.from_token(args.graph_class)
     if args.merge:
+        import json
+
         payloads = []
         for path in args.merge:
             with open(path) as fh:

@@ -6,9 +6,9 @@ exact integer elimination, never floating point and never GF(2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import Graph, InternalError, _clique_cover_bound, bits, mask_of
 from .linalg import rank_exact
@@ -20,22 +20,30 @@ EQUALITY_ODD_WEIGHT = "odd_weight"
 EQUALITY_ANTIPODAL_PAIR = "antipodal_pair"
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    """A set of distinct 0/1 words of common length, kept sorted."""
-
+class _CodeFields(NamedTuple):
     length: int
     words: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.length < 0:
+
+class BinaryCode(_CodeFields):
+    """A set of distinct 0/1 words of common length, kept sorted; ``_make``
+    and ``_replace`` check and sort too."""
+
+    __slots__ = ()
+
+    def __new__(cls, length: int, words: tuple[int, ...]):
+        if length < 0:
             raise ValueError("negative length")
-        full = (1 << self.length) - 1
-        if any(w & ~full for w in self.words):
+        full = (1 << length) - 1
+        if any(w & ~full for w in words):
             raise ValueError("word longer than the code length")
-        if len(set(self.words)) != len(self.words):
+        if len(set(words)) != len(words):
             raise ValueError("duplicate words")
-        object.__setattr__(self, "words", tuple(sorted(self.words)))
+        return tuple.__new__(cls, (length, tuple(sorted(words))))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -72,8 +80,7 @@ def min_distance(code: BinaryCode) -> int:
     return min((a ^ b).bit_count() for a, b in combinations(code.words, 2))
 
 
-@dataclass(frozen=True)
-class SingletonVerdict:
+class SingletonVerdict(NamedTuple):
     bound: int
     holds: bool
     equality: str  # one of the EQUALITY_* constants
@@ -111,8 +118,7 @@ def singleton_verify(code: BinaryCode, d: int) -> SingletonVerdict:
     return SingletonVerdict(bound=bound, holds=holds, equality=equality)
 
 
-@dataclass(frozen=True)
-class PlotkinCheck:
+class PlotkinCheck(NamedTuple):
     bound: Fraction
     min_symdiff: int
     holds: bool
@@ -154,8 +160,7 @@ def all_ones_in_rowspace(code: BinaryCode) -> bool:
     return rank_exact(m + [[1] * len(code.words)]) == base
 
 
-@dataclass(frozen=True)
-class RowspaceBoundCheck:
+class RowspaceBoundCheck(NamedTuple):
     bound: int
     holds: bool
 

@@ -6,8 +6,7 @@ vertices in documented order, so serialized golden outputs are stable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import (
     CapacityError,
@@ -23,8 +22,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class BoundsTable:
+class BoundsTable(NamedTuple):
     """Exact order bounds for reduced graphs of a given rank.
 
     Fields are None where the bound is undefined (tree/bipartite bounds need
@@ -122,8 +120,7 @@ def odd_subset_incidence_graph(n: int) -> Graph:
     return incidence_graph(n, (m for m in range(1, 1 << n) if m.bit_count() % 2))
 
 
-@dataclass(frozen=True)
-class LabeledConstruction:
+class LabeledConstruction(NamedTuple):
     """A constructed graph together with the role each special vertex plays.
 
     Role keys: "x", "x_prime", "y", "z", "N", "N_prime", "M", "M_prime",

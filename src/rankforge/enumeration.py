@@ -33,20 +33,13 @@ import contextlib
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from itertools import repeat
 from operator import add
+from typing import NamedTuple
 
 from .canonical import _refine, canonical_form, canonical_graph, orbits, to_graph6
-from .constructions import (
-    b_bound,
-    bipartite_remark_graph,
-    c_bound,
-    extremal_triangle_free,
-    subset_incidence_graph,
-)
 from .graphs import (
     Colouring,
     Graph,
@@ -62,7 +55,11 @@ from .graphs import (
     permute_mask,
     two_colouring,
 )
-from .linalg import adjacency_matrix, adjugate, det_exact, rank_exact
+from .linalg import adjacency_matrix, det_adjugate, rank_exact
+
+# Not called here (gen_cores takes det and adjugate from one det_adjugate
+# elimination), but perfbench/traced.py wraps both by name on this module.
+from .linalg import adjugate, det_exact  # noqa: F401
 
 DEFAULT_MAX_RANK = 9
 MIN_RANK = 4
@@ -226,8 +223,7 @@ def graphs_of_order(n: int, hereditary_name: str) -> tuple[Graph, ...]:
     return tuple(g for g, _ in _level(hereditary_name, n))
 
 
-@dataclass(frozen=True)
-class Core:
+class Core(NamedTuple):
     """An r-vertex graph with nonsingular adjacency, plus det and adjugate,
     and generators of its automorphism group."""
 
@@ -253,7 +249,8 @@ def gen_cores(r: int, cls: GraphClass):
     Generation is one stream, cached nowhere. A child is labeled only when
     it is in the last root cell (see the module docstring) and passes an
     isomorphism-invariant test: below level r the rank screen, at level r
-    ``may_be_core``. Only accepted level-r children reach ``det_exact``.
+    ``may_be_core``. Only accepted level-r children reach ``det_adjugate``,
+    one elimination that gives det and adjugate and rejects singular ones.
 
     Rank screen. A graph on n < r vertices is kept iff its rank is at least
     2n - r (nullity at most r - n). Appending a row and then a column raises
@@ -294,11 +291,9 @@ def gen_cores(r: int, cls: GraphClass):
         )
 
     for g, form in _children(name, _level(name, r - 1, screen), may_be_core):
-        a = adjacency_matrix(g)
-        d = det_exact(a)
+        d, adjug = det_adjugate(adjacency_matrix(g))
         if d:
-            adjug = tuple(tuple(row) for row in adjugate(a))
-            yield Core(graph=g, det=d, adjug=adjug, generators=form.generators)
+            yield Core(graph=g, det=d, adjug=tuple(map(tuple, adjug)), generators=form.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +301,7 @@ def gen_cores(r: int, cls: GraphClass):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionCandidate:
+class ExtensionCandidate(NamedTuple):
     """A 0/1 core-neighborhood vector b with its adjugate image y = adj(A) b."""
 
     vector: int
@@ -511,8 +505,7 @@ class _Search:
             chosen.pop()
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     size: int
     optimal_sets: tuple[tuple[ExtensionCandidate, ...], ...]
     candidate_count: int
@@ -548,8 +541,7 @@ def all_extensions(core: Core, cls: GraphClass, min_size: int = 0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     rank: int
     graph_class: str
     max_order: int
@@ -577,7 +569,7 @@ def report_from_payload(payload) -> EnumerationReport:
     exactly the report keys, integer counters and strings where strings belong."""
     if not isinstance(payload, dict):
         raise ValueError("report is not a JSON object")
-    names = {f.name for f in fields(EnumerationReport)} - {"graph_class"} | {"class"}
+    names = set(EnumerationReport._fields) - {"graph_class"} | {"class"}
     if payload.keys() != names:
         missing, unknown = sorted(names - payload.keys()), sorted(payload.keys() - names)
         raise ValueError(f"report keys: missing {missing}, unknown {unknown}")
@@ -748,8 +740,7 @@ def enumerate_all(r: int, cls: GraphClass, min_order: int = 0) -> tuple[Graph, .
     return tuple(out[k] for k in sorted(out))
 
 
-@dataclass(frozen=True)
-class TheoremVerification:
+class TheoremVerification(NamedTuple):
     theorem: str
     rank: int
     passed: bool
@@ -795,6 +786,14 @@ def verify_theorem(
     remark: for odd r in 7..11, the extremal graph minus its y-z edge is a
             reduced bipartite graph of rank r-1, order c(r-1), min part (r+1)/2.
     """
+    from .constructions import (
+        b_bound,
+        bipartite_remark_graph,
+        c_bound,
+        extremal_triangle_free,
+        subset_incidence_graph,
+    )
+
     if which == "main":
         if not 5 <= r <= max_rank_guard():
             raise ValueError("main theorem check supports 5 <= r <= the rank guard")

@@ -6,8 +6,7 @@ down to single machine-word operations for every graph this toolkit handles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 MAX_VERTICES = 64
 
@@ -46,20 +45,27 @@ def mask_of(vertices) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable simple graph: ``adj[v]`` is the bitmask of N(v)."""
-
+class _GraphFields(NamedTuple):
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise CapacityError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+
+class Graph(_GraphFields):
+    """Immutable simple graph: ``adj[v]`` is the bitmask of N(v).
+
+    ``__new__`` checks the rows on every path that builds one: the
+    constructor, ``_make`` (overridden below) and ``_replace``, which calls
+    it, and copying and unpickling, which call ``__new__`` from pickle
+    protocol 2 on."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, adj: tuple[int, ...]):
+        if not 0 <= n <= MAX_VERTICES:
+            raise CapacityError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        if len(adj) != n:
             raise ValueError("adjacency row count does not match vertex count")
-        full = (1 << self.n) - 1
-        adj = self.adj
+        full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"row {v} references vertices >= n")
@@ -71,6 +77,11 @@ class Graph:
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
                 row ^= low
+        return tuple.__new__(cls, (n, adj))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def vertices_mask(self) -> int:

@@ -75,16 +75,17 @@ def det_exact(m: Matrix) -> int:
     return sign * u[n - 1][n - 1] if n else 1
 
 
-def _adjugate_times(a: Matrix, rhs: Matrix) -> tuple[int, Matrix]:
-    """(det(a), adjugate(a) @ rhs) for nonsingular a: eliminate [a | rhs], then
-    back-substitute x_i = (p * rhs_i - sum_{j>i} u_ij x_j) / u_ii with p =
-    u_{n-1,n-1} = sign * det, so x = p * a^-1 @ rhs is integral (exact divisions)."""
+def _adjugate_times(a: Matrix, rhs: Matrix) -> tuple[int, Matrix | None]:
+    """(det(a), adjugate(a) @ rhs), or (0, None) for singular a: eliminate
+    [a | rhs], then back-substitute x_i = (p * rhs_i - sum_{j>i} u_ij x_j) / u_ii
+    with p = u_{n-1,n-1} = sign * det, so x = p * a^-1 @ rhs is integral
+    (exact divisions)."""
     n = len(a)
     if any(len(row) != n for row in a) or len(rhs) != n:
         raise ValueError("adjugate requires a square system")
     pivots, u, sign = _bareiss(a, rhs)
     if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular")
+        return 0, None
     p = u[n - 1][n - 1] if n else 1
     x: Matrix = [[] for _ in range(n)]
     for i in reversed(range(n)):
@@ -100,13 +101,23 @@ def adjugate_solve(a: Matrix, b) -> tuple[int, list[int]]:
     """Return (det(a), adjugate(a) @ b) for nonsingular a; the result
     satisfies a @ y == det * b."""
     d, y = _adjugate_times(a, [[v] for v in b])
+    if y is None:
+        raise SingularMatrixError("matrix is singular")
     return d, [row[0] for row in y]
+
+
+def det_adjugate(a: Matrix) -> tuple[int, Matrix | None]:
+    """(det(a), adjugate(a)) from one elimination, or (0, None) for singular a."""
+    n = len(a)
+    return _adjugate_times(a, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def adjugate(a: Matrix) -> Matrix:
     """Integer adjugate of a nonsingular a: a @ adjugate(a) == det(a) * I."""
-    n = len(a)
-    return _adjugate_times(a, [[int(i == j) for j in range(n)] for i in range(n)])[1]
+    adj = det_adjugate(a)[1]
+    if adj is None:
+        raise SingularMatrixError("matrix is singular")
+    return adj
 
 
 def rank_exact(m: Matrix) -> int:

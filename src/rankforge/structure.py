@@ -7,8 +7,8 @@ prune rather than a heuristic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .canonical import to_graph6
 from .graphs import (
@@ -61,14 +61,12 @@ def rank_drop_symdiff(g: Graph, u: int, v: int) -> tuple[int, int, bool]:
     return _rank_drop(g, drop)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Decomposition data for a maximum-order induced subgraph of bounded rank.
 
     ``duplication_pairs`` lists the twin classes of H as (kept-side, other)
@@ -86,7 +84,7 @@ class StructureReport:
     isolated_count: int
     t1: int
     t2: int
-    verdicts: dict = field(default_factory=dict)
+    verdicts: dict  # no default: a shared dict would leak between reports
 
     def deleted(self) -> int:
         return self.host.vertices_mask & ~self.h_vertices

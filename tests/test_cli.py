@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rankforge
 from rankforge.canonical import from_graph6, to_graph6
 from rankforge.cli import main
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
@@ -387,3 +391,77 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "c(6) = 9" in proc.stdout
+
+
+# Prints every module loaded once the command has run, after its own output.
+_LOADED_SCRIPT = """
+import sys
+from rankforge import cli
+code = cli.main(sys.argv[1:])
+print("--- modules", *sorted(sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, ran, absent",
+    [
+        (
+            ["bounds", "--r", "8"],
+            "rankforge.constructions",
+            ["rankforge.enumeration", "rankforge.canonical", "rankforge.linalg",
+             "rankforge.codes", "rankforge.structure", "dataclasses", "inspect"],
+        ),
+        (
+            ["enumerate", "--rank", "5", "--class", "tfnb", "--jobs", "1"],
+            "rankforge.enumeration",
+            ["rankforge.constructions", "rankforge.codes", "rankforge.structure",
+             "dataclasses"],
+        ),
+    ],
+    ids=["bounds", "enumerate"],
+)
+def test_a_command_loads_only_the_modules_it_runs(argv, ran, absent):
+    src = str(Path(rankforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_SCRIPT, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.rpartition("--- modules")[2].split())
+    assert ran in loaded
+    assert sorted(loaded & set(absent)) == []
+
+
+def test_no_rankforge_module_loads_dataclasses():
+    src = str(Path(rankforge.__file__).resolve().parents[1])
+    names = sorted(p.stem for p in Path(rankforge.__file__).parent.glob("*.py"))
+    script = (
+        "import importlib, sys\n"
+        f"for name in {[n for n in names if n != '__main__']!r}:\n"
+        "    importlib.import_module('rankforge.' + name)\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_enumerate_with_two_jobs_matches_one_job_byte_for_byte(capsys):
+    # Cores, candidates and search results cross the fork pool by pickling.
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(
+            capsys, ["enumerate", "--rank", "7", "--class", "tfnb", "--jobs", jobs]
+        )
+        assert code == 0
+        outs.append(re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out))
+    assert json.loads(outs[0])["cores_processed"] > 1  # so the pool runs
+    assert outs[0] == outs[1]

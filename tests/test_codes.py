@@ -39,6 +39,19 @@ def test_code_serialization_roundtrip():
         BinaryCode(3, (1, 1))
 
 
+def test_every_way_to_build_a_code_sorts_and_checks_it():
+    import pickle
+
+    code = BinaryCode(3, (0b110, 0b001))
+    assert code.words == (0b001, 0b110) and len(code) == 2
+    assert code._replace(words=(0b111, 0b000)).words == (0b000, 0b111)
+    assert pickle.loads(pickle.dumps(code)) == code
+    with pytest.raises(ValueError, match="duplicate words"):
+        code._replace(words=(1, 1))
+    with pytest.raises(ValueError, match="longer than the code length"):
+        BinaryCode._make((2, (0b100,)))
+
+
 def test_min_distance_examples():
     assert min_distance(BinaryCode(3, (0b000, 0b111))) == 3
     even = BinaryCode(3, tuple(w for w in range(8) if w.bit_count() % 2 == 0))

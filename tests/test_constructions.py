@@ -190,7 +190,8 @@ def test_remark_graph_guards():
         bipartite_remark_graph(5)
 
 
-def test_labeled_construction_is_dataclass():
+def test_labeled_construction_is_a_record():
     built = extremal_triangle_free(6)
     assert isinstance(built, LabeledConstruction)
+    assert built._fields == ("graph", "roles")
     assert built.roles["x"] == 1  # ground element 0

@@ -938,8 +938,6 @@ def test_one_completion_is_built_per_core_automorphism_orbit(monkeypatch, cls, e
 
 
 def test_a_core_generator_that_is_not_an_automorphism_is_an_internal_error(monkeypatch):
-    from dataclasses import replace
-
     from rankforge import enumeration
     from rankforge.graphs import InternalError, relabel
 
@@ -954,7 +952,7 @@ def test_a_core_generator_that_is_not_an_automorphism_is_an_internal_error(monke
                 for j in range(i + 1, g.n)
             )
             wrong = next(p for p in swaps if relabel(g, p) != g)
-            yield replace(core, generators=core.generators + (wrong,))
+            yield core._replace(generators=core.generators + (wrong,))
 
     monkeypatch.setattr(enumeration, "gen_cores", with_a_wrong_generator)
     with pytest.raises(InternalError, match="core generator is not an automorphism"):

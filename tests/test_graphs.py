@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -47,6 +49,41 @@ def test_graph_invariants_enforced():
         Graph(1, (0b1,))  # self-loop
     with pytest.raises(ValueError):
         Graph(1, (0b10,))  # out of range
+
+
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [(2, (0b10, 0b00), "asymmetric"), (1, (0b1,), "self-loop")],
+    ids=["asymmetric", "self-loop"],
+)
+def test_every_way_to_build_a_graph_checks_it(n, rows, message):
+    # An unchecked instance, made by going around Graph.__new__, stands in for
+    # a bad pickle: unpickling and copying must rebuild it through the checks.
+    # Protocols 0 and 1 rebuild a tuple subclass without __new__; copying and
+    # multiprocessing use later ones.
+    forged = tuple.__new__(Graph, (n, rows))
+    ways = {
+        "positional": lambda: Graph(n, rows),
+        "keyword": lambda: Graph(n=n, adj=rows),
+        "_make": lambda: Graph._make((n, rows)),
+        "_replace": lambda: Graph(n, (0,) * n)._replace(adj=rows),
+        "copy": lambda: copy.copy(forged),
+        "deepcopy": lambda: copy.deepcopy(forged),
+    }
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        ways[f"pickle {protocol}"] = lambda p=protocol: pickle.loads(pickle.dumps(forged, p))
+    for name, build in ways.items():
+        with pytest.raises(ValueError, match=message):
+            build()
+            pytest.fail(f"{name} built an unchecked graph")
+
+
+def test_a_graph_survives_pickling_unchanged():
+    g = extremal_triangle_free(8).graph
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(g, protocol))
+        assert type(back) is Graph and back == g
+    assert g._replace(n=g.n) == g
 
 
 def test_graph_rejects_every_single_row_bit_flip():

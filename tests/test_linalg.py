@@ -10,6 +10,7 @@ from rankforge.linalg import (
     adjacency_matrix,
     adjugate,
     adjugate_solve,
+    det_adjugate,
     det_exact,
     nonsingular_principal_core,
     principal_submatrix,
@@ -90,8 +91,10 @@ def test_adjugate_identity_random():
         if d == 0:
             with pytest.raises(SingularMatrixError):
                 adjugate(a)
+            assert det_adjugate(a) == (0, None)
             continue
         adj = adjugate(a)
+        assert det_adjugate(a) == (d, adj)
         for i in range(n):
             for j in range(n):
                 got = sum(a[i][k] * adj[k][j] for k in range(n))

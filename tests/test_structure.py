@@ -23,6 +23,14 @@ from rankforge.structure import (
 )
 
 
+def test_structure_report_has_no_shared_verdicts_default():
+    with pytest.raises(TypeError):
+        StructureReport(
+            host=cycle_graph(5), gap=1, h_vertices=0, rank_g=0, rank_h=0,
+            duplication_pairs=(), isolated_count=0, t1=0, t2=0,
+        )
+
+
 def test_rank_drop_neighborhood_examples():
     c5 = cycle_graph(5)
     for v in range(5):
