@@ -14,6 +14,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rankforge.canonical import dumps_report
+from rankforge.cli import positive_int
 from rankforge.codes import rowspace_distance2_max
 from rankforge.enumeration import (
     GraphClass,
@@ -24,8 +25,8 @@ from rankforge.enumeration import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--shards", type=positive_int, default=4)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     parser.add_argument("--outdir", default="reports")
     parser.add_argument("--skip-codes", action="store_true")
     args = parser.parse_args()

@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from rankforge.canonical import canonical_form
+from rankforge.cli import positive_int
 from rankforge.codes import rowspace_distance2_bound, rowspace_distance2_max
 from rankforge.constructions import (
     c_bound,
@@ -32,7 +33,7 @@ RANK7_COUNTEREXAMPLES = ("H@Tcd?N",)
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     args = parser.parse_args()
 
     t0 = time.time()

@@ -273,18 +273,19 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else COUNTEREXAMPLE
 
 
-def _job_count(token: str) -> int:
-    """``--jobs`` value: a worker count of at least 1."""
+def positive_int(token: str) -> int:
+    """An argparse type: an integer of at least 1, such as a ``--jobs`` count."""
     try:
-        jobs = int(token)
+        value = int(token)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name."""
     parser = argparse.ArgumentParser(
         prog="rankforge",
         description="Exact-rank toolkit for reduced triangle-free and bipartite graphs",
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="extremal-order report for a rank and class")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--class", dest="graph_class", required=True)
-    p.add_argument("--jobs", type=_job_count, default=os.cpu_count())
+    p.add_argument("--jobs", type=positive_int, default=os.cpu_count())
     p.add_argument("--report")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--shards", type=int)
@@ -349,19 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a headline theorem at desk scale")
     p.add_argument("--theorem", choices=["main", "bi", "bigen", "remark"], required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--jobs", type=_job_count, default=os.cpu_count(),
+    p.add_argument("--jobs", type=positive_int, default=os.cpu_count(),
                    help="worker processes for main and bi; bigen and remark "
                         "run in one process and ignore it")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra and argv[:1] == [args.command]:
+            # argparse (3.11) fills an optional positional before the options
+            # that follow it, so `lemma lov --gap 1 g.g6` leaves the file over;
+            # the command's parser reads options and positionals apart.
+            args, extra = commands[args.command].parse_known_intermixed_args(
+                argv[1:], argparse.Namespace(command=args.command)
+            )
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

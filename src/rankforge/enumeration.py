@@ -69,7 +69,10 @@ def max_rank_guard() -> int:
     """Enumeration rank ceiling; RANKFORGE_MAX_R raises it explicitly."""
     env = os.environ.get("RANKFORGE_MAX_R")
     if env:
-        return max(DEFAULT_MAX_RANK, int(env))
+        try:
+            return max(DEFAULT_MAX_RANK, int(env))
+        except ValueError:
+            raise ValueError(f"RANKFORGE_MAX_R must be an integer, got {env!r}") from None
     return DEFAULT_MAX_RANK
 
 

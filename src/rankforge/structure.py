@@ -141,6 +141,8 @@ def iter_max_subgraph_reports(g: Graph, target_gap: int):
     if target_gap not in (1, 2):
         raise ValueError("target gap must be 1 or 2")
     _require_reduced(g)
+    if g.n == 0:
+        raise ValueError("the empty graph has no proper subgraph to search")
     if g.n > MAX_SEARCH_ORDER:
         raise ValueError(f"search guarded to order <= {MAX_SEARCH_ORDER}")
     rank_g = _graph_rank(g)

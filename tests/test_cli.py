@@ -121,6 +121,31 @@ def test_lemma_subcommands(capsys, monkeypatch):
     assert payload["obstruction_free"] is True
 
 
+@pytest.mark.parametrize(
+    "command, options, text",
+    [
+        (["lemma", "lov"], ["--gap", "1"], to_graph6(path_graph(5))),
+        (["lemma", "neighborhood"], ["--v", "0"], to_graph6(cycle_graph(5))),
+        (["code", "plotkin"], ["--set", "0,2"], to_graph6(cycle_graph(5))),
+        (["code", "singleton"], ["--d", "2"], "000\n011\n101\n110"),
+    ],
+    ids=["lov", "neighborhood", "plotkin", "singleton"],
+)
+def test_an_input_file_may_follow_the_options(capsys, tmp_path, command, options, text):
+    path = tmp_path / "input"
+    path.write_text(text + "\n")
+    first = run_cli(capsys, [*command, str(path), *options])
+    last = run_cli(capsys, [*command, *options, str(path)])
+    assert first[0] == 0 and last == first
+
+
+def test_a_second_input_file_is_still_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "g.g6"
+    path.write_text(to_graph6(path_graph(5)) + "\n")
+    code, out, err = run_cli(capsys, ["lemma", "lov", "--gap", "1", str(path), str(path)])
+    assert code == 2 and out == "" and f"unrecognized arguments: {path}" in err
+
+
 @pytest.mark.parametrize("u", ("-1", "9"))
 def test_lemma_symdiff_rejects_a_vertex_out_of_range(capsys, monkeypatch, u):
     g6 = to_graph6(subset_incidence_graph(2))
@@ -233,8 +258,9 @@ def test_graph6_is_read_from_a_file_path(capsys, tmp_path):
         (["lemma", "lov", "-"], "Dhc\nDhc\n", "expected exactly one graph6 line"),
         (["lemma", "neighborhood", "-"], "Dhc\n", "lemma neighborhood needs --v"),
         (["lemma", "symdiff", "-", "--v", "2"], "Dhc\n", "lemma symdiff needs --u and --v"),
+        (["lemma", "lov", "-"], "?\n", "the empty graph has no proper subgraph to search"),
     ],
-    ids=["empty", "two-graphs", "no-v", "no-u"],
+    ids=["empty", "two-graphs", "no-v", "no-u", "empty-graph"],
 )
 def test_input_and_option_errors(capsys, monkeypatch, argv, stdin_text, message):
     code, out, err = run_cli(capsys, argv, stdin_text=stdin_text, monkeypatch=monkeypatch)
@@ -452,6 +478,43 @@ def test_no_rankforge_module_loads_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [("verify_all.py", ["--jobs", "0"]), ("run_extended.py", ["--shards", "0"])],
+    ids=["verify_all-jobs", "run_extended-shards"],
+)
+def test_scripts_reject_a_count_below_one_before_any_work(tmp_path, script, argv):
+    scripts = Path(rankforge.__file__).resolve().parents[2] / "scripts"
+    proc = subprocess.run(
+        [sys.executable, str(scripts / script), *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "must be at least 1, got 0" in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # run_extended.py writes its reports/ here
+
+
+def test_importing_the_package_loads_no_module_and_defines_only_its_version():
+    src = str(Path(rankforge.__file__).resolve().parents[1])
+    script = (
+        "import sys, rankforge\n"
+        "print(sorted(m for m in sys.modules if m.startswith('rankforge')))\n"
+        "print([n for n in dir(rankforge) if not n.startswith('_')])\n"
+        "print(isinstance(rankforge.__version__, str))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['rankforge']", "[]", "True"]
 
 
 def test_enumerate_with_two_jobs_matches_one_job_byte_for_byte(capsys):

@@ -799,18 +799,6 @@ def test_assert_sound_names_each_failed_check():
         _assert_sound(cycle_graph(5), 5, GraphClass.BIPARTITE)
 
 
-def test_lazy_exports_resolve_to_their_submodule_objects():
-    import importlib
-
-    for name in rankforge.__all__:
-        module = importlib.import_module(f"rankforge.{rankforge._MODULE_OF[name]}")
-        assert rankforge.__getattr__(name) is getattr(module, name)
-        assert getattr(rankforge, name) is getattr(module, name)
-    assert set(rankforge.__all__) <= set(dir(rankforge))
-    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
-        rankforge.no_such_name
-
-
 def test_emitted_graphs_are_rechecked_after_canonicalization(monkeypatch):
     from rankforge import enumeration
     from rankforge.graphs import InternalError, cycle_graph
@@ -1122,6 +1110,9 @@ def test_rank_guard_env_override(monkeypatch):
     _rank_range_check(11)  # no longer raises
     monkeypatch.setenv("RANKFORGE_MAX_R", "7")
     assert max_rank_guard() == 9  # the variable raises the guard, never lowers it
+    monkeypatch.setenv("RANKFORGE_MAX_R", "abc")
+    with pytest.raises(ValueError, match="RANKFORGE_MAX_R must be an integer, got 'abc'"):
+        max_rank_guard()
 
 
 @pytest.mark.extended
