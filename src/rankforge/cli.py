@@ -1,7 +1,8 @@
 """Batch command-line surface. Graphs travel as graph6 on stdin/stdout.
 
 Exit codes: 0 success / theorem verified, 1 theorem counterexample found,
-2 usage or guard error, 3 internal error (a soundness re-check failed: a bug).
+2 usage or guard error, 3 internal error (a soundness re-check failed: a bug),
+141 stdout closed by its reader (``| head -1``; nothing goes to stderr).
 
 Each command imports the modules it runs when it runs, so it compiles and
 keeps only these rankforge modules besides ``cli`` and ``graphs``:
@@ -36,6 +37,7 @@ from .graphs import (
 COUNTEREXAMPLE = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _read_lines(source: str) -> list[str]:
@@ -158,14 +160,10 @@ def _cmd_lemma(args) -> int:
 
     g = _read_one_graph(args.input)
     if args.which == "neighborhood":
-        if args.v is None:
-            raise ValueError("lemma neighborhood needs --v")
         lhs, rhs, holds = rank_drop_neighborhood(g, args.v)
         print(f"rank(G-N(v))={lhs} rank(G)-2={rhs} holds={str(holds).lower()}")
         return 0 if holds else COUNTEREXAMPLE
     if args.which == "symdiff":
-        if args.u is None or args.v is None:
-            raise ValueError("lemma symdiff needs --u and --v")
         lhs, rhs, holds = rank_drop_symdiff(g, args.u, args.v)
         print(f"rank(G-(N(u)^N(v)))={lhs} rank(G)-2={rhs} holds={str(holds).lower()}")
         return 0 if holds else COUNTEREXAMPLE
@@ -193,7 +191,7 @@ def _cmd_code(args) -> int:
         return 0 if verdict.holds else COUNTEREXAMPLE
     if args.which == "plotkin":
         g = _read_one_graph(args.input)
-        if args.set:
+        if args.set is not None:
             ids: list[int] = []
             for tok in args.set.split(","):
                 try:
@@ -220,8 +218,6 @@ def _cmd_code(args) -> int:
         print(f"size={len(code)} bound={res.bound} holds={str(res.holds).lower()}")
         return 0 if res.holds else COUNTEREXAMPLE
     # f2n-max
-    if args.n is None:
-        raise ValueError("code f2n-max needs --n")
     best, witness = codes_mod.rowspace_distance2_max(
         args.n, use_theorem_cutoff=not args.no_cutoff
     )
@@ -284,32 +280,34 @@ def positive_int(token: str) -> int:
     return value
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, by command name."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankforge",
         description="Exact-rank toolkit for reduced triangle-free and bipartite graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The graph6 or code input of every command that reads one.
+    inp = argparse.ArgumentParser(add_help=False)
+    inp.add_argument("input", nargs="?", default="-")
 
     p = sub.add_parser("bounds", help="print the order-bound table for a rank")
     p.add_argument("--r", type=int, required=True)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("construct", help="emit a named construction as graph6")
-    p.add_argument("kind", choices=["B", "O", "C", "remark"])
-    p.add_argument("--param", type=int, required=True)
-    p.add_argument("--recursive", action="store_true",
-                   help="use the doubling recursion for C")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_construct)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("B", "O", "C", "remark"):
+        k = kinds.add_parser(kind)
+        k.add_argument("--param", type=int, required=True)
+        k.add_argument("--out")
+    kinds.choices["C"].add_argument("--recursive", action="store_true",
+                                    help="use the doubling recursion")
 
-    p = sub.add_parser("rank", help="exact adjacency rank of graph6 input")
-    p.add_argument("input", nargs="?", default="-")
+    p = sub.add_parser("rank", parents=[inp], help="exact adjacency rank of graph6 input")
     p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("reduce", help="delete isolated vertices and collapse twins")
-    p.add_argument("input", nargs="?", default="-")
+    p = sub.add_parser("reduce", parents=[inp], help="delete isolated vertices and collapse twins")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("check", help="predicates and independence number")
@@ -318,23 +316,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("lemma", help="rank-drop checks and the subgraph report")
-    p.add_argument("which", choices=["neighborhood", "symdiff", "lov"])
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--v", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--gap", type=int, choices=[1, 2], default=1)
-    p.add_argument("--report")
     p.set_defaults(func=_cmd_lemma)
+    which = p.add_subparsers(dest="which", required=True)
+    w = which.add_parser("neighborhood", parents=[inp])
+    w.add_argument("--v", type=int, required=True)
+    w = which.add_parser("symdiff", parents=[inp])
+    w.add_argument("--u", type=int, required=True)
+    w.add_argument("--v", type=int, required=True)
+    w = which.add_parser("lov", parents=[inp])
+    w.add_argument("--gap", type=int, choices=[1, 2], default=1)
+    w.add_argument("--report")
 
     p = sub.add_parser("code", help="binary-code bound checks")
-    p.add_argument("which", choices=["singleton", "plotkin", "f2n", "f2n-max"])
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--d", type=int, help="distance parameter for singleton")
-    p.add_argument("--set", help="comma-separated independent set for plotkin")
-    p.add_argument("--n", type=int, help="code length for f2n-max")
-    p.add_argument("--no-cutoff", action="store_true",
-                   help="disable the proven-bound cutoff in f2n-max")
     p.set_defaults(func=_cmd_code)
+    which = p.add_subparsers(dest="which", required=True)
+    w = which.add_parser("singleton", parents=[inp])
+    w.add_argument("--d", type=int, help="distance parameter")
+    w = which.add_parser("plotkin", parents=[inp])
+    w.add_argument("--set", help="comma-separated independent set")
+    which.add_parser("f2n", parents=[inp])
+    w = which.add_parser("f2n-max")
+    w.add_argument("--n", type=int, required=True, help="code length")
+    w.add_argument("--no-cutoff", action="store_true",
+                   help="disable the proven-bound cutoff")
 
     p = sub.add_parser("enumerate", help="extremal-order report for a rank and class")
     p.add_argument("--rank", type=int, required=True)
@@ -342,7 +346,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--jobs", type=positive_int, default=os.cpu_count())
     p.add_argument("--report")
     p.add_argument("--progress", action="store_true")
-    p.add_argument("--shards", type=int)
+    p.add_argument("--shards", type=positive_int)
     p.add_argument("--shard-index", type=int)
     p.add_argument("--merge", nargs="+", help="merge shard report files instead of running")
     p.set_defaults(func=_cmd_enumerate)
@@ -356,27 +360,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra and argv[:1] == [args.command]:
-            # argparse (3.11) fills an optional positional before the options
-            # that follow it, so `lemma lov --gap 1 g.g6` leaves the file over;
-            # the command's parser reads options and positionals apart.
-            args, extra = commands[args.command].parse_known_intermixed_args(
-                argv[1:], argparse.Namespace(command=args.command)
-            )
-        if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (`... | head -1`): stop quietly, with the
+        # status of a process killed by SIGPIPE, and let the flush at exit
+        # write what is left to os.devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

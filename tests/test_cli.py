@@ -210,8 +210,12 @@ def test_code_plotkin_rejects_a_vertex_out_of_range(capsys, monkeypatch, ids):
 
 @pytest.mark.parametrize(
     "ids, message",
-    [("0,a", "--set token 'a' is not a vertex id"), ("1,1,2", "--set repeats vertex 1")],
-    ids=["not-an-integer", "repeated"],
+    [
+        ("0,a", "--set token 'a' is not a vertex id"),
+        ("1,1,2", "--set repeats vertex 1"),
+        ("", "--set token '' is not a vertex id"),
+    ],
+    ids=["not-an-integer", "repeated", "empty"],
 )
 def test_code_plotkin_rejects_a_malformed_set(capsys, monkeypatch, ids, message):
     code, out, err = run_cli(
@@ -252,19 +256,52 @@ def test_graph6_is_read_from_a_file_path(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, stdin_text, message",
+    "argv, stdin_text, stderr",
     [
-        (["rank", "-"], "", "no graph6 input"),
-        (["lemma", "lov", "-"], "Dhc\nDhc\n", "expected exactly one graph6 line"),
-        (["lemma", "neighborhood", "-"], "Dhc\n", "lemma neighborhood needs --v"),
-        (["lemma", "symdiff", "-", "--v", "2"], "Dhc\n", "lemma symdiff needs --u and --v"),
-        (["lemma", "lov", "-"], "?\n", "the empty graph has no proper subgraph to search"),
+        (["rank", "-"], "", "error: no graph6 input\n"),
+        (["lemma", "lov", "-"], "Dhc\nDhc\n", "error: expected exactly one graph6 line\n"),
+        (
+            ["lemma", "neighborhood", "-"],
+            "Dhc\n",
+            "usage: .+: error: the following arguments are required: --v\n",
+        ),
+        (
+            ["lemma", "symdiff", "-", "--v", "2"],
+            "Dhc\n",
+            "usage: .+: error: the following arguments are required: --u\n",
+        ),
+        (["lemma", "lov", "-"], "?\n", "error: the empty graph has no proper subgraph to search\n"),
     ],
     ids=["empty", "two-graphs", "no-v", "no-u", "empty-graph"],
 )
-def test_input_and_option_errors(capsys, monkeypatch, argv, stdin_text, message):
+def test_input_and_option_errors(capsys, monkeypatch, argv, stdin_text, stderr):
     code, out, err = run_cli(capsys, argv, stdin_text=stdin_text, monkeypatch=monkeypatch)
-    assert code == 2 and out == "" and err == f"error: {message}\n"
+    assert code == 2 and out == "" and re.fullmatch(stderr, err, re.DOTALL)
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["lemma", "symdiff", "g.g6", "--u", "0", "--v", "2"], ["--report", "out.json"]),
+        (["lemma", "neighborhood", "g.g6", "--v", "0"], ["--gap", "2"]),
+        (["lemma", "lov", "g.g6"], ["--v", "3"]),
+        (["code", "singleton", "code.txt"], ["--set", "0,2"]),
+        (["code", "f2n-max", "--n", "5"], ["code.txt"]),
+        (["construct", "B", "--param", "3"], ["--recursive"]),
+    ],
+    ids=["symdiff-report", "neighborhood-gap", "lov-v", "singleton-set", "f2n-max-input",
+         "construct-b-recursive"],
+)
+def test_an_option_outside_its_variant_is_a_usage_error(
+    capsys, monkeypatch, tmp_path, argv, extra
+):
+    (tmp_path / "g.g6").write_text(to_graph6(cycle_graph(5)) + "\n")
+    (tmp_path / "code.txt").write_text("000\n011\n101\n110\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, argv)[0] == 0
+    code, out, err = run_cli(capsys, [*argv, *extra])
+    assert code == 2 and out == "" and f"unrecognized arguments: {' '.join(extra)}" in err
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("jobs", ("1", "2"))
@@ -370,6 +407,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["enumerate", "--rank", "99", "--class", "tf", "--jobs", "1"])
     assert code == 2 and "RANKFORGE_MAX_R" in err
+    code, out, err = run_cli(
+        capsys, ["enumerate", "--rank", "5", "--class", "tf", "--shards", "0", "--shard-index", "0"]
+    )
+    assert code == 2 and out == "" and "argument --shards" in err
 
 
 @pytest.mark.parametrize("command", (["enumerate", "--rank", "5", "--class", "tf"],
@@ -382,7 +423,8 @@ def test_jobs_below_one_is_a_usage_error(capsys, command, jobs):
 
 def test_f2n_max_without_length_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, ["code", "f2n-max"])
-    assert code == 2 and out == "" and err == "error: code f2n-max needs --n\n"
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --n" in err
 
 
 def test_shard_index_without_shards_is_a_usage_error(capsys, tmp_path):
@@ -417,6 +459,30 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "c(6) = 9" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", (None, "1"), ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_ends_the_command_quietly(tmp_path, unbuffered):
+    # Far more output than a pipe holds, so the command is still writing
+    # when the reader closes its end.
+    g6 = to_graph6(extremal_triangle_free(10).graph)
+    (tmp_path / "g.g6").write_text((g6 + "\n") * 3000)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(rankforge.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rankforge", "reduce", str(tmp_path / "g.g6")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert first.decode().strip() == g6 and err == b""
 
 
 # Prints every module loaded once the command has run, after its own output.

@@ -797,6 +797,8 @@ def test_assert_sound_names_each_failed_check():
         _assert_sound(path_graph(3), 2, GraphClass.ALL)
     with pytest.raises(InternalError, match="emitted graph violates its class predicate"):
         _assert_sound(cycle_graph(5), 5, GraphClass.BIPARTITE)
+    with pytest.raises(InternalError, match="emitted graph violates its class predicate"):
+        _assert_sound(cycle_graph(3), 3, GraphClass.TRIANGLE_FREE)  # K3
 
 
 def test_emitted_graphs_are_rechecked_after_canonicalization(monkeypatch):
