@@ -357,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=positive_int, default=os.cpu_count(),
                    help="worker processes for main and bi; bigen and remark "
                         "run in one process and ignore it")
-    p.add_argument("--progress", action="store_true")
+    p.add_argument("--progress", action="store_true",
+                   help="per-core progress on stderr for main and bi; bigen and remark "
+                        "ignore it")
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -365,11 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            code = USAGE_ERROR if exc.code not in (0, None) else 0
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -89,12 +89,13 @@ class SingletonVerdict(NamedTuple):
 def singleton_verify(code: BinaryCode, d: int) -> SingletonVerdict:
     """Check |C| <= 2^(n-d+1) for a code of pairwise distance >= d, and classify
     the equality case (full space / even weight / odd weight / antipodal pair).
+    The bound is stated for 1 <= d <= n + 1; any other d is a ValueError.
 
     At n <= 2 the equality cases can coincide; classification picks the first
     matching case in the order above.
     """
-    if d < 1:
-        raise ValueError("distance must be positive")
+    if not 1 <= d <= code.length + 1:
+        raise ValueError(f"distance must be in 1..{code.length + 1} (the length plus one), got {d}")
     for a, b in combinations(code.words, 2):
         if (a ^ b).bit_count() < d:
             raise ValueError(

@@ -314,69 +314,62 @@ def _clique_cover_bound(adj: Sequence[int], pool: int) -> int:
     return count
 
 
-def independence_number(g: Graph) -> tuple[int, int]:
-    """Exact independence number with one maximum independent set as witness.
+def _largest_independent_sets(adj: Sequence[int], held: list[int], keep: int) -> list[int]:
+    """Independent sets of the largest size found, at most ``keep + 1`` of them.
 
-    Branch and bound: branch on a maximum-degree vertex of the candidate set,
-    bound by a greedy clique cover.
+    ``held`` seeds the search with sets of one size (an incumbent). Branch and
+    bound over all vertices: branch on a maximum-degree vertex of the pool,
+    taking it in, then leaving it out, and drop a subtree whose greedy clique
+    cover cannot reach the held size, or cannot beat it once more than
+    ``keep`` sets are held. A result of more than ``keep`` sets means more
+    exist; otherwise it holds every maximum independent set.
     """
-    n, adj = g.n, g.adj
-    if n == 0:
-        return 0, 0
-
-    # Greedy min-degree seed for the initial lower bound.
-    best_set = 0
-    pool = g.vertices_mask
-    while pool:
-        v = min(bits(pool), key=lambda u: (adj[u] & pool).bit_count())
-        best_set |= 1 << v
-        pool &= ~(adj[v] | (1 << v))
-    best_size = best_set.bit_count()
+    best = held[0].bit_count() if held else 0
 
     def expand(cur: int, size: int, pool: int):
-        nonlocal best_size, best_set
+        nonlocal best
         if pool == 0:
-            if size > best_size:
-                best_size, best_set = size, cur
+            if size > best:
+                best = size
+                held[:] = [cur]
+            elif size == best and len(held) <= keep:
+                held.append(cur)
             return
-        if size + pool.bit_count() <= best_size:
-            return
-        if size + _clique_cover_bound(adj, pool) <= best_size:
+        need = best - size + (len(held) > keep)
+        if pool.bit_count() < need or _clique_cover_bound(adj, pool) < need:
             return
         v = max(bits(pool), key=lambda u: (adj[u] & pool).bit_count())
         expand(cur | (1 << v), size + 1, pool & ~(adj[v] | (1 << v)))
         expand(cur, size, pool & ~(1 << v))
 
-    expand(0, 0, g.vertices_mask)
-    return best_size, best_set
+    expand(0, 0, (1 << len(adj)) - 1)
+    return held
+
+
+def independence_number(g: Graph) -> tuple[int, int]:
+    """Exact independence number with one maximum independent set as witness.
+
+    The search keeps no ties (``keep = 0``) and starts from a greedy
+    min-degree set, so it only looks for larger sets.
+    """
+    adj = g.adj
+    seed = 0
+    pool = g.vertices_mask
+    while pool:
+        v = min(bits(pool), key=lambda u: (adj[u] & pool).bit_count())
+        seed |= 1 << v
+        pool &= ~(adj[v] | (1 << v))
+    (witness,) = _largest_independent_sets(adj, [seed], 0)
+    return witness.bit_count(), witness
 
 
 def maximum_independent_sets(g: Graph, cap: int = 100_000) -> list[int]:
     """All independent sets of maximum size, as masks in lexicographic order.
 
-    Raises CapExceededError (carrying the partial count) if more than ``cap``
-    sets are found.
+    Raises CapExceededError (carrying the partial count, ``cap + 1``) if more
+    than ``cap`` sets exist.
     """
-    alpha, _ = independence_number(g)
-    adj = g.adj
-    results: list[int] = []
-
-    def rec(cur: int, size: int, pool: int):
-        if size == alpha:
-            results.append(cur)
-            if len(results) > cap:
-                raise CapExceededError(len(results), cap)
-            return
-        if pool == 0 or size + pool.bit_count() < alpha:
-            return
-        if size + _clique_cover_bound(adj, pool) < alpha:
-            return
-        v = (pool & -pool).bit_length() - 1
-        rec(cur | (1 << v), size + 1, pool & ~(adj[v] | (1 << v)))
-        rec(cur, size, pool & ~(1 << v))
-
-    if g.n:
-        rec(0, 0, g.vertices_mask)
-    else:
-        results.append(0)
-    return results
+    found = _largest_independent_sets(g.adj, [], cap)
+    if len(found) > cap:
+        raise CapExceededError(len(found), cap)
+    return sorted(found, key=lambda m: tuple(bits(m)))

@@ -271,8 +271,13 @@ def test_graph6_is_read_from_a_file_path(capsys, tmp_path):
             "usage: .+: error: the following arguments are required: --u\n",
         ),
         (["lemma", "lov", "-"], "?\n", "error: the empty graph has no proper subgraph to search\n"),
+        (
+            ["code", "singleton", "-", "--d", "10"],
+            "101\n",
+            re.escape("error: distance must be in 1..4 (the length plus one), got 10\n"),
+        ),
     ],
-    ids=["empty", "two-graphs", "no-v", "no-u", "empty-graph"],
+    ids=["empty", "two-graphs", "no-v", "no-u", "empty-graph", "singleton-d-past-length"],
 )
 def test_input_and_option_errors(capsys, monkeypatch, argv, stdin_text, stderr):
     code, out, err = run_cli(capsys, argv, stdin_text=stdin_text, monkeypatch=monkeypatch)
@@ -485,6 +490,31 @@ def test_a_closed_pipe_ends_the_command_quietly(tmp_path, unbuffered):
     assert first.decode().strip() == g6 and err == b""
 
 
+@pytest.mark.parametrize("argv", (["--help"], ["enumerate", "--help"]), ids=["top", "enumerate"])
+@pytest.mark.parametrize("unbuffered", (None, "1"), ids=["buffered", "unbuffered"])
+def test_help_into_a_closed_pipe_ends_quietly(argv, unbuffered):
+    # The read end is closed before the command starts, so every write fails.
+    # Block-buffered, the help fails at the flush (141); unbuffered, argparse
+    # drops the failed write and exits 0.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(rankforge.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankforge", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == (0 if unbuffered else 141) and proc.stderr == b""
+
+
 # Prints every module loaded once the command has run, after its own output.
 _LOADED_SCRIPT = """
 import sys
@@ -563,6 +593,24 @@ def test_scripts_reject_a_count_below_one_before_any_work(tmp_path, script, argv
     assert proc.returncode == 2 and proc.stdout == ""
     assert "must be at least 1, got 0" in proc.stderr
     assert list(tmp_path.iterdir()) == []  # run_extended.py writes its reports/ here
+
+
+def test_verify_all_runs_the_battery(tmp_path):
+    scripts = Path(rankforge.__file__).resolve().parents[2] / "scripts"
+    proc = subprocess.run(
+        [sys.executable, str(scripts / "verify_all.py"), "--jobs", "1"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert any(
+        line.startswith("known deviation: main r=7") and "('H@Tcd?N',)" in line
+        for line in lines
+    )
+    assert lines[-1] == "all checks consistent with the computed ground truth"
 
 
 def test_importing_the_package_loads_no_module_and_defines_only_its_version():

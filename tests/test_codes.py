@@ -75,6 +75,11 @@ def test_singleton_examples():
     with pytest.raises(ValueError) as exc:
         singleton_verify(BinaryCode(3, (0b000, 0b001)), 2)
     assert "distance" in str(exc.value)
+    one_word = BinaryCode(3, (0b101,))  # meets any distance vacuously
+    v = singleton_verify(one_word, 4)  # d = n + 1: the bound is 1
+    assert v.bound == 1 and v.holds and v.equality == EQUALITY_NONE
+    with pytest.raises(ValueError, match=r"distance must be in 1\.\.4"):
+        singleton_verify(one_word, 5)
 
 
 def _case_predicates(code, n):

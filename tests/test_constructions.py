@@ -1,6 +1,6 @@
 import pytest
 
-from rankforge.canonical import are_isomorphic, canonical_form
+from rankforge.canonical import are_isomorphic, canonical_form, to_graph6
 from rankforge.constructions import (
     LabeledConstruction,
     b_bound,
@@ -146,6 +146,55 @@ def test_independence_number_formula(r):
     alpha, witness = independence_number(g)
     assert alpha == expect
     assert witness.bit_count() == alpha
+
+
+# (alpha, witness) and the recursive build"s graph6, recorded before the two
+# independent-set searches became one; the doubling step takes the witness.
+FAMILY_ALPHA_WITNESS = {
+    4: (3, 0x15),
+    5: (2, 0x9),
+    6: (5, 0x169),
+    7: (5, 0x7c),
+    8: (11, 0xbbf8),
+    9: (11, 0x3ff8),
+    10: (23, 0x17f7fff0),
+    11: (23, 0x7fffff0),
+    12: (47, 0x2fffefffffffe0),
+}
+SUBSET_INCIDENCE_ALPHA_WITNESS = {
+    1: (1, 0x1),
+    2: (3, 0x1c),
+    3: (7, 0x3f8),
+    4: (15, 0x7fff0),
+    5: (31, 0xfffffffe0),
+}
+RECURSIVE_GRAPH6 = {
+    4: "DhC",
+    5: "Dhc",
+    6: "HhD@S_@",
+    7: "HhdId?@",
+    8: "OhD@S_@OQcAOO??OTc??@",
+    9: "OhdId?@QQaH?S??OSs??@",
+    10: "\\hD@S_@OQcAOO??OTc??@OOHQ?_c@A?@?@?_OO?Ac??AO??O????O????C?DX}_?????C",
+    11: "\\hdId?@QQaH?S??OSs??@QOHP?aO@A_@?@?_QO?Aa??H???S????O????C?DL}_?????C",
+    12: (
+        "uhD@S_@OQcAOO??OTc??@OOHQ?_c@A?@?@?_OO?Ac??AO??O????O????C?DX}_?????D@"
+        "?_?Qc@??_c@??`??_?O?OG?CAA???_IO??A?C_??C?O???C??G??A???@??_?OOG???@Q?"
+        "_????c@????A?@?????@?_????OO?????Ac??????AO??????O????????O????????C??"
+        "????????_???jNv~y????????????G"
+    ),
+}
+
+
+@pytest.mark.parametrize("r", range(4, 13))
+def test_family_witness_and_recursive_build_are_pinned(r):
+    assert independence_number(extremal_triangle_free(r).graph) == FAMILY_ALPHA_WITNESS[r]
+    assert to_graph6(extremal_triangle_free_recursive(r)) == RECURSIVE_GRAPH6[r]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_subset_incidence_witness_is_pinned(k):
+    assert independence_number(subset_incidence_graph(k)) == SUBSET_INCIDENCE_ALPHA_WITNESS[k]
 
 
 def test_maximum_independent_set_counts():

@@ -270,7 +270,21 @@ def test_maximum_independent_sets_cap():
     assert len(maximum_independent_sets(matching)) == 16
     with pytest.raises(CapExceededError) as exc:
         maximum_independent_sets(matching, cap=2)
-    assert exc.value.partial_count > 2
+    assert exc.value.partial_count == 3
+    with pytest.raises(CapExceededError):  # the empty set is the one maximum set
+        maximum_independent_sets(Graph(0, ()), cap=0)
+
+
+def test_smaller_sets_beyond_the_cap_do_not_count():
+    # Complete multipartite: five parts of two, then one part of three. The
+    # five pairs are maximal independent sets, and their vertices have the
+    # larger degree, so the search meets more than ``cap`` of them before the
+    # one maximum set.
+    parts = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11, 12)]
+    edges = [(u, v) for i, a in enumerate(parts) for b in parts[i + 1:] for u in a for v in b]
+    g = from_edges(13, edges)
+    _, brute_sets = brute_independence(g)
+    assert maximum_independent_sets(g, cap=2) == brute_sets == [mask_of(parts[-1])]
 
 
 def test_induced_subgraph_examples():
