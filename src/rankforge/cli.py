@@ -235,6 +235,13 @@ def _cmd_enumerate(args) -> int:
     if args.merge:
         import json
 
+        given = [opt for opt, on in (
+            ("--shards", args.shards is not None),
+            ("--shard-index", args.shard_index is not None),
+            ("--progress", args.progress),
+        ) if on]
+        if given:
+            raise ValueError(f"--merge takes no {', '.join(given)}")
         payloads = []
         for path in args.merge:
             with open(path) as fh:
@@ -343,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="extremal-order report for a rank and class")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--class", dest="graph_class", required=True)
-    p.add_argument("--jobs", type=positive_int, default=os.cpu_count())
+    p.add_argument("--jobs", type=positive_int, default=os.cpu_count(),
+                   help="worker processes (default: the CPU count); --merge ignores it")
     p.add_argument("--report")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--shards", type=positive_int)

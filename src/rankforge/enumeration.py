@@ -414,98 +414,81 @@ def complete(core: Core, cands) -> Graph:
     return Graph(r + len(cands), tuple(rows))
 
 
-class _Search:
-    """Per-core branch-and-bound over pairwise-compatible extension sets.
+def _extension_sets(core: Core, cls: GraphClass, floor: int, maximize: bool):
+    """Per-core branch-and-bound over pairwise-compatible extension sets:
+    (candidates, valid sets as candidate tuples in search order, nodes).
 
     One rule serves both callers: record every valid set of size >= floor,
     and prune a subtree when its size plus the greedy clique cover of the
     pool in the incompatibility graph is < floor (a compatible set takes at
-    most one vertex of each clique). ``run(maximize=True)`` starts at floor 0
-    and raises it to each larger set found, dropping smaller records, so
-    every optimal set (ties included) survives. Candidate i is vertex r + i
-    of the completion, whose 2-colouring is carried down the recursion when
-    the class constrains bipartiteness (None once it has an odd cycle, and
-    throughout when it does not).
+    most one vertex of each clique). With ``maximize`` the floor rises to
+    each larger set found, dropping smaller records, so every largest set
+    (ties included) survives. The chosen set is one mask over candidate
+    indices, and the pool holds only indices above the last one chosen, so
+    its bits ascend in the order they were chosen. Candidate i is vertex
+    r + i of the completion, whose 2-colouring is carried down the recursion
+    when the class constrains bipartiteness (None once it has an odd cycle,
+    and throughout when it does not).
 
     For tfnb, ``gen_cores`` lists only non-bipartite cores, so the pipeline
     starts every tfnb search with no colouring. The colouring still runs when
     a caller passes a bipartite core with the tfnb class: the core-rule tests
     do so on purpose and take this search as their reference.
     """
+    triangle_free, bipartite = cls.triangle_constrained, cls.bipartite
+    cands = candidates(core, cls)
+    k = len(cands)
+    compat = [0] * k
+    forced1 = [0] * k
+    for i in range(k):
+        for j in range(i + 1, k):
+            bit = compatible(core, cands[i], cands[j])
+            if bit is None:
+                continue
+            if bit == 1 and triangle_free and cands[i].vector & cands[j].vector:
+                continue  # a shared core neighbor would close a triangle
+            compat[i] |= 1 << j
+            compat[j] |= 1 << i
+            if bit == 1:
+                forced1[i] |= 1 << j
+                forced1[j] |= 1 << i
+    full = (1 << k) - 1
+    incompat = [full & ~c & ~(1 << i) for i, c in enumerate(compat)]
+    shift = core.graph.n
+    found: list[int] = []
+    nodes = 0
 
-    def __init__(self, core: Core, cls: GraphClass):
-        self.core = core
-        self.triangle_free = cls.triangle_constrained
-        self.bipartite = cls.bipartite
-        self.cands = cand_list = candidates(core, cls)
-        k = len(cand_list)
-        self.compat = [0] * k
-        self.forced1 = [0] * k
-        for i in range(k):
-            for j in range(i + 1, k):
-                bit = compatible(core, cand_list[i], cand_list[j])
-                if bit is None:
-                    continue
-                if bit == 1 and self.triangle_free and (
-                    cand_list[i].vector & cand_list[j].vector
-                ):
-                    continue  # a shared core neighbor would close a triangle
-                self.compat[i] |= 1 << j
-                self.compat[j] |= 1 << i
-                if bit == 1:
-                    self.forced1[i] |= 1 << j
-                    self.forced1[j] |= 1 << i
-        full = (1 << k) - 1
-        self.incompat = [full & ~c & ~(1 << i) for i, c in enumerate(self.compat)]
-        self.nodes = 0
-
-    def run(self, floor: int = 0, maximize: bool = False) -> list[tuple[int, ...]]:
-        """Valid index sets (ascending) of size >= floor, or with ``maximize``
-        the sets of the largest valid size."""
-        self.floor = floor
-        self.maximize = maximize
-        self.sets: list[tuple[int, ...]] = []
-        colouring = None if self.bipartite is None else two_colouring(self.core.graph.adj)
-        self._rec([], 0, (1 << len(self.cands)) - 1, colouring)
-        return self.sets
-
-    def _rec(
-        self, chosen: list[int], chosen_mask: int, pool: int, colouring: Colouring | None
-    ):
-        self.nodes += 1
-        size = len(chosen)
-        if self.bipartite is not False or colouring is None:
-            if self.maximize and size > self.floor:
-                self.floor = size
-                self.sets = []
-            if size >= self.floor:
-                self.sets.append(tuple(chosen))
-        if size + _clique_cover_bound(self.incompat, pool) < self.floor:
+    def rec(chosen: int, pool: int, colouring: Colouring | None):
+        nonlocal floor, nodes
+        nodes += 1
+        size = chosen.bit_count()
+        if bipartite is not False or colouring is None:
+            if maximize and size > floor:
+                floor = size
+                found.clear()
+            if size >= floor:
+                found.append(chosen)
+        if size + _clique_cover_bound(incompat, pool) < floor:
             return
-        shift = self.core.graph.n
         m = pool
         while m:
             low = m & -m
             v = low.bit_length() - 1
             m ^= low
-            ones = self.forced1[v] & chosen_mask
-            if self.triangle_free and any(self.forced1[u] & ones for u in bits(ones)):
+            ones = forced1[v] & chosen
+            if triangle_free and any(forced1[u] & ones for u in bits(ones)):
                 continue  # v and two adjacent chosen extensions form a triangle
             child = colouring
             if colouring is not None:
                 child = add_to_colouring(
-                    colouring, 1 << (shift + v), self.cands[v].vector | ones << shift
+                    colouring, 1 << (shift + v), cands[v].vector | ones << shift
                 )
-                if child is None and self.bipartite:
+                if child is None and bipartite:
                     continue  # bipartiteness is hereditary: no superset recovers
-            chosen.append(v)
-            self._rec(
-                chosen,
-                chosen_mask | low,
-                pool & self.compat[v] & ~((low << 1) - 1),
-                child,
-            )
-            chosen.pop()
+            rec(chosen | low, pool & compat[v] & ~((low << 1) - 1), child)
+
+    rec(0, full, None if bipartite is None else two_colouring(core.graph.adj))
+    return cands, [tuple(cands[i] for i in bits(s)) for s in found], nodes
 
 
 class ExtensionResult(NamedTuple):
@@ -521,22 +504,19 @@ def max_extension(core: Core, cls: GraphClass) -> ExtensionResult:
 
     size is -1 when nothing (not even the bare core) passes the predicate.
     """
-    search = _Search(core, cls)
-    sets = search.run(maximize=True)
+    cands, sets, nodes = _extension_sets(core, cls, 0, True)
     return ExtensionResult(
         size=len(sets[0]) if sets else -1,
-        optimal_sets=tuple(tuple(search.cands[i] for i in s) for s in sets),
-        candidate_count=len(search.cands),
-        nodes=search.nodes,
+        optimal_sets=tuple(sets),
+        candidate_count=len(cands),
+        nodes=nodes,
     )
 
 
 def all_extensions(core: Core, cls: GraphClass, min_size: int = 0):
     """Every valid extension set with |S| >= min_size, as tuples of candidates;
     used by the completeness oracle and the part-size theorem."""
-    search = _Search(core, cls)
-    sets = search.run(floor=min_size)
-    return [tuple(search.cands[i] for i in s) for s in sets]
+    return _extension_sets(core, cls, min_size, False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +776,9 @@ def verify_theorem(
     )
 
     if which == "main":
-        if not 5 <= r <= max_rank_guard():
-            raise ValueError("main theorem check supports 5 <= r <= the rank guard")
+        if r < 5:
+            raise ValueError("main theorem check supports r >= 5")
+        _rank_range_check(r)
         return _verify_unique_extremal(
             "main", r, GraphClass.TRIANGLE_FREE_NONBIPARTITE,
             extremal_triangle_free(r).graph, c_bound(r), jobs, progress,

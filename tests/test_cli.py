@@ -385,6 +385,33 @@ def test_enumerate_report_and_merge(capsys, tmp_path):
     assert merged["max_order"] == 10 and len(merged["extremal"]) == 1
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--shards", "5", "--shard-index", "3", "--progress"],
+         "--shards, --shard-index, --progress"),
+        (["--shards", "2"], "--shards"),
+        (["--shard-index", "0"], "--shard-index"),
+        (["--progress"], "--progress"),
+    ],
+    ids=["all-three", "shards", "shard-index", "progress"],
+)
+def test_merge_with_a_run_option_is_a_usage_error(capsys, tmp_path, extra, named):
+    shard = tmp_path / "s0.json"
+    code, _, _ = run_cli(
+        capsys,
+        ["enumerate", "--rank", "6", "--class", "tf", "--jobs", "1", "--report", str(shard)],
+    )
+    assert code == 0
+    out_path = tmp_path / "merged.json"
+    argv = ["enumerate", "--rank", "6", "--class", "tf", "--merge", str(shard)]
+    assert run_cli(capsys, [*argv, "--report", str(out_path)])[0] == 0
+    out_path.unlink()
+    code, out, err = run_cli(capsys, [*argv, *extra, "--report", str(out_path)])
+    assert code == 2 and out == "" and err == f"error: --merge takes no {named}\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("content", ["{}", "[]", '{"rank": 6}'])
 def test_merge_of_a_malformed_report_is_a_usage_error(capsys, tmp_path, content):
     bad = tmp_path / "x.json"
@@ -416,6 +443,19 @@ def test_usage_errors(capsys):
         capsys, ["enumerate", "--rank", "5", "--class", "tf", "--shards", "0", "--shard-index", "0"]
     )
     assert code == 2 and out == "" and "argument --shards" in err
+
+
+def test_verify_main_names_the_rank_guard_as_enumerate_does(capsys, monkeypatch):
+    monkeypatch.delenv("RANKFORGE_MAX_R", raising=False)
+    guard = (
+        "error: rank 10 outside the guarded range 4..9 "
+        "(set RANKFORGE_MAX_R to raise the ceiling)\n"
+    )
+    for argv in (["verify", "--theorem", "main", "--r", "10"],
+                 ["enumerate", "--rank", "10", "--class", "tfnb"]):
+        assert run_cli(capsys, argv) == (2, "", guard)
+    code, out, err = run_cli(capsys, ["verify", "--theorem", "main", "--r", "4"])
+    assert (code, out, err) == (2, "", "error: main theorem check supports r >= 5\n")
 
 
 @pytest.mark.parametrize("command", (["enumerate", "--rank", "5", "--class", "tf"],
@@ -593,6 +633,23 @@ def test_scripts_reject_a_count_below_one_before_any_work(tmp_path, script, argv
     assert proc.returncode == 2 and proc.stdout == ""
     assert "must be at least 1, got 0" in proc.stderr
     assert list(tmp_path.iterdir()) == []  # run_extended.py writes its reports/ here
+
+
+def test_run_extended_merges_its_shards(tmp_path):
+    scripts = Path(rankforge.__file__).resolve().parents[2] / "scripts"
+    proc = subprocess.run(
+        [sys.executable, str(scripts / "run_extended.py"),
+         "--skip-codes", "--shards", "2", "--outdir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "merge equals single run: True"
+    names = ["rank9-merged.json", "rank9-shard0.json", "rank9-shard1.json"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
+    assert list(tmp_path.iterdir()) == [tmp_path / "out"]
 
 
 def test_verify_all_runs_the_battery(tmp_path):

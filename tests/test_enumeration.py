@@ -572,6 +572,41 @@ def test_max_extension_on_cycle_core():
     assert complete(core, ()).n == 5
 
 
+def _vectors(sets):
+    return tuple(tuple(c.vector for c in s) for s in sets)
+
+
+def test_max_extension_matches_golden_digest():
+    # SHA-256 over (size, candidate count, nodes, optimal sets in search order)
+    # of every core of every class at r = 4..8 (all graphs to 7) and of tfnb at
+    # r = 9: the search may be rewritten, but not its order, prune or answers.
+    h = hashlib.sha256()
+    runs = [(cls, r) for cls in GraphClass for r in range(4, 8 if cls is GraphClass.ALL else 9)]
+    for cls, r in [*runs, (GraphClass.TRIANGLE_FREE_NONBIPARTITE, 9)]:
+        for core in gen_cores(r, cls):
+            res = max_extension(core, cls)
+            sets = _vectors(res.optimal_sets)
+            h.update(
+                f"{cls.value} {r} {res.size} {res.candidate_count} {res.nodes} {sets}\n".encode()
+            )
+    assert h.hexdigest() == (
+        "cf7931ebb1cc8d7b162e7fc52011c8e9e60a8fd10110bc0dff4f2018168199cb"
+    )
+
+
+def test_all_extensions_matches_golden_digest():
+    # SHA-256 over every valid set, in search order, of the bipartite cores at
+    # r = 6 (no floor) and at r = 8 (the bigen floor, 9 extensions).
+    h = hashlib.sha256()
+    for r, min_size in ((6, 0), (8, 9)):
+        for core in gen_cores(r, GraphClass.BIPARTITE):
+            sets = all_extensions(core, GraphClass.BIPARTITE, min_size=min_size)
+            h.update(f"{r} {list(_vectors(sets))}\n".encode())
+    assert h.hexdigest() == (
+        "b16c2545eb3ba9411dfc3b60b86424084c4b423c334ae7716c2016c912538ad3"
+    )
+
+
 @pytest.mark.parametrize("r", (4, 5, 6))
 @pytest.mark.parametrize("cls", list(GraphClass))
 def test_max_extension_keeps_every_tied_optimum(r, cls):
