@@ -231,7 +231,9 @@ def _cmd_enumerate(args) -> int:
     from . import enumeration as enum_mod
     from .canonical import dumps_report
 
-    cls = enum_mod.GraphClass.from_token(args.graph_class)
+    # --class is a GraphClass value or one of three short names for one.
+    short = {"tf": "triangle-free", "bi": "bipartite", "tfnb": "triangle-free-nonbipartite"}
+    cls = enum_mod.GraphClass(short.get(args.graph_class, args.graph_class))
     if args.merge:
         import json
 
@@ -349,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="extremal-order report for a rank and class")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--class", dest="graph_class", required=True)
+    p.add_argument("--class", dest="graph_class", required=True, choices=[
+        "all", "triangle-free", "tf", "bipartite", "bi", "triangle-free-nonbipartite", "tfnb",
+    ])
     p.add_argument("--jobs", type=positive_int, default=os.cpu_count(),
                    help="worker processes (default: the CPU count); --merge ignores it")
     p.add_argument("--report")

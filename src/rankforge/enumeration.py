@@ -90,69 +90,37 @@ class GraphClass(Enum):
     def bipartite(self) -> bool | None:
         """True if class graphs must be bipartite, False if they must not be
         (the one class rule that is not hereditary), None if it does not matter."""
-        return {"bipartite": True, "triangle-free-nonbipartite": False}.get(self.value)
+        return {GraphClass.BIPARTITE: True, GraphClass.TRIANGLE_FREE_NONBIPARTITE: False}.get(self)
 
-    @property
-    def hereditary_name(self) -> str:
-        """``_HEREDITARY`` key of the smallest hereditary class containing this one."""
-        return "triangle-free" if self.bipartite is False else self.value
+    def conflicts(self, adj):
+        """Per vertex v of a graph with adjacency rows ``adj`` in the class's
+        hereditary closure, the vertices that may not share the neighbourhood
+        of a new vertex with v if the grown graph is to stay in the closure:
+        adjacent vertices would close a triangle, and opposite sides of one
+        component an odd cycle."""
+        if not self.triangle_constrained:
+            return [0] * len(adj)
+        if not self.bipartite:
+            return adj
+        out = [0] * len(adj)
+        for side, other in two_colouring(adj):
+            for v in bits(side):
+                out[v] = other
+            for v in bits(other):
+                out[v] = side
+        return out
 
     def final_predicate(self, g: Graph) -> bool:
-        return _HEREDITARY[self.hereditary_name](g) and (
-            self.bipartite is not False or bipartition(g) is None
-        )
-
-    @staticmethod
-    def from_token(token: str) -> "GraphClass":
-        aliases = {
-            "all": GraphClass.ALL,
-            "triangle-free": GraphClass.TRIANGLE_FREE,
-            "trianglefree": GraphClass.TRIANGLE_FREE,
-            "tf": GraphClass.TRIANGLE_FREE,
-            "bipartite": GraphClass.BIPARTITE,
-            "bi": GraphClass.BIPARTITE,
-            "triangle-free-nonbipartite": GraphClass.TRIANGLE_FREE_NONBIPARTITE,
-            "tfnb": GraphClass.TRIANGLE_FREE_NONBIPARTITE,
-            "nonbipartite": GraphClass.TRIANGLE_FREE_NONBIPARTITE,
-        }
-        key = token.strip().lower()
-        if key not in aliases:
-            raise ValueError(f"unknown graph class {token!r}")
-        return aliases[key]
-
-
-_HEREDITARY = {
-    "all": lambda g: True,
-    "triangle-free": is_triangle_free,
-    "bipartite": lambda g: bipartition(g) is not None,
-}
+        # A bipartite graph is triangle-free, so the bipartite class needs
+        # only the colouring.
+        if self.bipartite is not None and self.bipartite != (two_colouring(g.adj) is not None):
+            return False
+        return self.bipartite or not self.triangle_constrained or is_triangle_free(g)
 
 
 # ---------------------------------------------------------------------------
 # Orderly generation with canonical-augmentation rejection
 # ---------------------------------------------------------------------------
-
-
-def _opposite_sides(g: Graph) -> list[int]:
-    """Per vertex, the other side of its component in ``two_colouring(g.adj)``."""
-    out = [0] * g.n
-    for side, other in two_colouring(g.adj):
-        for v in bits(side):
-            out[v] = other
-        for v in bits(other):
-            out[v] = side
-    return out
-
-
-# Per hereditary class: conflicts[v] is the set of vertices that may not share
-# the neighbourhood of a new vertex with v if the grown graph is to stay in the
-# class (given that g is in it): adjacent vertices would close a triangle, and
-# opposite sides of one component an odd cycle.
-_CONFLICTS = {
-    "all": lambda g: [0] * g.n,
-    "triangle-free": lambda g: g.adj,
-    "bipartite": _opposite_sides,
-}
 
 
 def _admissible(k: int, conflicts) -> list[int]:
@@ -167,13 +135,13 @@ def _admissible(k: int, conflicts) -> list[int]:
     return out
 
 
-def _children(pred_name: str, parents, keep=None):
+def _children(cls: GraphClass, parents, keep=None):
     """Each accepted child of ``parents`` (one level of graphs with their
-    canonical forms) with its canonical form, in level order. After the
-    root-cell test (see the module docstring), ``keep``, an
-    isomorphism-invariant test on the child's adjacency rows, drops whole
-    classes before labeling. A child is built as a ``Graph`` only for
-    labeling."""
+    canonical forms) in the hereditary closure of ``cls``, with its canonical
+    form, in level order. After the root-cell test (see the module
+    docstring), ``keep``, an isomorphism-invariant test on the child's
+    adjacency rows, drops whole classes before labeling. A child is built as
+    a ``Graph`` only for labeling."""
     for parent, pform in parents:
         n = parent.n
         bit, full = 1 << n, (1 << n + 1) - 1
@@ -189,7 +157,7 @@ def _children(pred_name: str, parents, keep=None):
         # whole, and its first member, the smallest, stands for it.
         masks = (
             nb
-            for nb in _admissible(n, _CONFLICTS[pred_name](parent))
+            for nb in _admissible(n, cls.conflicts(parent.adj))
             if nb.bit_count() >= top + bool(nb & top_mask)
         )
         for _, orbit in orbits(masks, pform.generators, permute_mask):
@@ -209,8 +177,8 @@ def _children(pred_name: str, parents, keep=None):
                 yield child, cf
 
 
-def _level(pred_name: str, n: int, keep=None):
-    """All graphs on exactly n vertices satisfying the hereditary predicate,
+def _level(cls: GraphClass, n: int, keep=None):
+    """All graphs on exactly n vertices in the hereditary closure of ``cls``,
     one per isomorphism class, each with its canonical form, streamed; with
     ``keep`` (see ``_children``), only those that pass it with every ancestor."""
     if n == 1:
@@ -218,12 +186,13 @@ def _level(pred_name: str, n: int, keep=None):
         if keep is None or keep(k1.adj):
             yield k1, canonical_form(k1)
     else:
-        yield from _children(pred_name, _level(pred_name, n - 1, keep), keep)
+        yield from _children(cls, _level(cls, n - 1, keep), keep)
 
 
-def graphs_of_order(n: int, hereditary_name: str) -> tuple[Graph, ...]:
-    """Isomorph-free list of all n-vertex graphs in a hereditary class."""
-    return tuple(g for g, _ in _level(hereditary_name, n))
+def graphs_of_order(n: int, cls: GraphClass) -> tuple[Graph, ...]:
+    """Isomorph-free list of all n-vertex graphs in the hereditary closure of
+    ``cls`` (triangle-free graphs for the non-bipartite class)."""
+    return tuple(g for g, _ in _level(cls, n))
 
 
 class Core(NamedTuple):
@@ -277,7 +246,6 @@ def gen_cores(r: int, cls: GraphClass):
     determinant. That r-vertex core contains C, so it is not bipartite.
     """
     _rank_range_check(r)
-    name = cls.hereditary_name
 
     def screen(rows) -> bool:
         # Rank at least 2n - r (above), first bounded by the rows.
@@ -293,7 +261,7 @@ def gen_cores(r: int, cls: GraphClass):
             cls.bipartite is not False or two_colouring(rows) is None
         )
 
-    for g, form in _children(name, _level(name, r - 1, screen), may_be_core):
+    for g, form in _children(cls, _level(cls, r - 1, screen), may_be_core):
         d, adjug = det_adjugate(adjacency_matrix(g))
         if d:
             yield Core(graph=g, det=d, adjug=tuple(map(tuple, adjug)), generators=form.generators)
@@ -366,7 +334,7 @@ def candidates(core: Core, cls: GraphClass) -> tuple[ExtensionCandidate, ...]:
     gains = _swap_gains_edges(core, cls)
     # A core triangle through an extension needs two adjacent core vertices
     # in b, so triangle-constrained candidates must be independent sets.
-    conflicts = _CONFLICTS["triangle-free" if cls.triangle_constrained else "all"](g)
+    conflicts = g.adj if cls.triangle_constrained else [0] * g.n
     # b -> (y, q) with y = adj(A) b and q = b^T y, built from b minus its
     # lowest vertex i: y gains column i, which is row i (adj(A) is
     # symmetric), and q gains 2 y_i + adj(A)_ii.
@@ -527,6 +495,8 @@ def all_extensions(core: Core, cls: GraphClass, min_size: int = 0):
 class EnumerationReport(NamedTuple):
     rank: int
     graph_class: str
+    shards: int  # 1 and 0 for an unsharded or merged report
+    shard_index: int
     max_order: int
     extremal: tuple[str, ...]  # canonical graph6
     cores_processed: int
@@ -538,6 +508,8 @@ class EnumerationReport(NamedTuple):
         return {
             "rank": self.rank,
             "class": self.graph_class,
+            "shards": self.shards,
+            "shard_index": self.shard_index,
             "max_order": self.max_order,
             "extremal": list(self.extremal),
             "cores_processed": self.cores_processed,
@@ -565,12 +537,17 @@ def report_from_payload(payload) -> EnumerationReport:
         and all(type(v) is str for v in [kwargs["graph_class"], *extremal])
     ):
         raise ValueError("report has a value of the wrong type")
-    return EnumerationReport(**{**kwargs, "extremal": tuple(extremal)})
+    report = EnumerationReport(**{**kwargs, "extremal": tuple(extremal)})
+    if not 0 <= report.shard_index < report.shards:
+        raise ValueError(f"report shard index {report.shard_index} not in 0..{report.shards - 1}")
+    return report
 
 
 def merge_reports(payloads: list[dict]) -> dict:
     """Merge shard reports of one run: max order wins, extremal lists of the
-    winning shards union (deduplicated, sorted), counters add.
+    winning shards union (deduplicated, sorted), counters add. The reports
+    must share one shard count K and hold the indices 0..K-1 once each; the
+    merged report is unsharded (1 and 0).
 
     ``elapsed_ms`` adds too, so in a merged report it is the sum of the shard
     times, the work done, not the wall time of shards that ran in parallel."""
@@ -578,13 +555,24 @@ def merge_reports(payloads: list[dict]) -> dict:
     if not reports:
         raise ValueError("nothing to merge")
     first = reports[0]
-    if any((r.rank, r.graph_class) != (first.rank, first.graph_class) for r in reports):
-        raise ValueError("shard reports disagree on rank or class")
+    run = (first.rank, first.graph_class, first.shards)
+    if any((r.rank, r.graph_class, r.shards) != run for r in reports):
+        raise ValueError("shard reports disagree on rank or class, or on the shard count")
+    indices = [r.shard_index for r in reports]
+    missing = sorted(set(range(first.shards)) - set(indices))
+    repeated = sorted({i for i in indices if indices.count(i) > 1})
+    if missing or repeated:
+        raise ValueError(
+            f"merge needs shard indices 0..{first.shards - 1} once each: "
+            f"missing {missing}, repeated {repeated}"
+        )
     max_order = max(r.max_order for r in reports)
     extremal = {g6 for r in reports if r.max_order == max_order for g6 in r.extremal}
     return EnumerationReport(
         rank=first.rank,
         graph_class=first.graph_class,
+        shards=1,
+        shard_index=0,
         max_order=max_order,
         extremal=tuple(sorted(extremal)),
         cores_processed=sum(r.cores_processed for r in reports),
@@ -632,21 +620,14 @@ def _orbit_firsts(core: Core, sets):
 
 def _emitted(r: int, cls: GraphClass, per_core) -> dict[str, Graph]:
     """Canonical graph6 -> canonical graph of the completions of every
-    (core, extension sets) pair; each distinct graph is re-checked after
-    canonicalization, as it is written out.
-
-    One completion per Aut(core) orbit is labeled, and distinct graphs are
-    keyed by certificate: equal certificates mean isomorphic graphs, and the
-    canonical graph is a function of (n, cert)."""
-    firsts: dict[tuple[int, bytes], Graph] = {}
+    (core, extension sets) pair, one completion per Aut(core) orbit, each
+    labeled once; each distinct graph is re-checked after canonicalization,
+    as it is written out."""
+    out: dict[str, Graph] = {}
     for core, sets in per_core:
         for s in _orbit_firsts(core, sets):
-            g = complete(core, s)
-            firsts.setdefault((g.n, canonical_form(g).cert), g)
-    out: dict[str, Graph] = {}
-    for g in firsts.values():
-        cg = canonical_graph(g)
-        out[to_graph6(cg)] = cg
+            cg = canonical_graph(complete(core, s))
+            out[to_graph6(cg)] = cg
     for g in out.values():
         _assert_sound(g, r, cls)
     return out
@@ -679,7 +660,9 @@ def enumerate_extremal(
         if jobs and jobs > 1 and len(cores) > 1:
             import multiprocessing  # only here: it slows the package import
 
-            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(jobs))
+            # Pool forks every worker at once: no more than there are cores.
+            context = multiprocessing.get_context("fork")
+            pool = stack.enter_context(context.Pool(min(jobs, len(cores))))
             it = pool.imap(partial(max_extension, cls=cls), cores, chunksize=4)
         else:
             it = map(max_extension, cores, repeat(cls))
@@ -700,6 +683,8 @@ def enumerate_extremal(
     return EnumerationReport(
         rank=r,
         graph_class=cls.value,
+        shards=shards or 1,
+        shard_index=shard_index or 0,
         max_order=max_order,
         extremal=tuple(sorted(extremal)),
         cores_processed=len(cores),

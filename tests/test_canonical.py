@@ -17,7 +17,7 @@ from rankforge.canonical import (
     to_graph6,
 )
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
-from rankforge.enumeration import graphs_of_order
+from rankforge.enumeration import GraphClass, graphs_of_order
 from rankforge.graphs import Graph, bits, cycle_graph, from_edges, mask_of, path_graph, relabel
 
 from conftest import random_graph
@@ -216,7 +216,7 @@ def _refine_reference(adj, cells):
 def test_refinement_matches_the_reference_that_queues_every_cell(monkeypatch):
     # Skipped splitter passes must leave every ordered partition, and so every
     # certificate, as the reference that runs them all produces it.
-    graphs = [g for n in range(1, 9) for g in graphs_of_order(n, "triangle-free")]
+    graphs = [g for n in range(1, 9) for g in graphs_of_order(n, GraphClass.TRIANGLE_FREE)]
     rng = random.Random(1301)
     graphs += [random_graph(rng, rng.randint(2, 16), rng.random()) for _ in range(300)]
     real = canonical._refine

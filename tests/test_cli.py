@@ -412,6 +412,52 @@ def test_merge_with_a_run_option_is_a_usage_error(capsys, tmp_path, extra, named
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "indices, named",
+    [((0, 0), "missing [1], repeated [0]"), ((1,), "missing [0], repeated []")],
+    ids=["repeated", "missing"],
+)
+def test_merge_of_an_incomplete_shard_set_is_a_usage_error(capsys, tmp_path, indices, named):
+    paths = {}
+    for i in set(indices):
+        paths[i] = str(tmp_path / f"s{i}.json")
+        argv = ["enumerate", "--rank", "6", "--class", "tf", "--jobs", "1",
+                "--shards", "2", "--shard-index", str(i), "--report", paths[i]]
+        assert run_cli(capsys, argv)[0] == 0
+    out_path = tmp_path / "merged.json"
+    argv = ["enumerate", "--rank", "6", "--class", "tf",
+            "--merge", *(paths[i] for i in indices), "--report", str(out_path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: merge needs shard indices 0..1 once each: {named}\n"
+    assert not out_path.exists()
+
+
+_CLASS_NAMES = {
+    "all": "all",
+    "triangle-free": "triangle-free",
+    "tf": "triangle-free",
+    "bipartite": "bipartite",
+    "bi": "bipartite",
+    "triangle-free-nonbipartite": "triangle-free-nonbipartite",
+    "tfnb": "triangle-free-nonbipartite",
+}
+
+
+def test_enumerate_takes_exactly_the_documented_class_names(capsys):
+    code, out, _ = run_cli(capsys, ["enumerate", "--help"])
+    assert code == 0 and f"--class {{{','.join(_CLASS_NAMES)}}}" in out
+    for name, value in _CLASS_NAMES.items():
+        code, out, _ = run_cli(capsys, ["enumerate", "--rank", "5", "--class", name, "--jobs", "1"])
+        assert code == 0 and json.loads(out)["class"] == value, name
+
+
+@pytest.mark.parametrize("name", ["TFNB", " tf ", "trianglefree", "nonbipartite"])
+def test_an_undocumented_class_name_is_a_usage_error(capsys, name):
+    code, out, err = run_cli(capsys, ["enumerate", "--rank", "5", "--class", name, "--jobs", "1"])
+    assert (code, out) == (2, "") and "argument --class: invalid choice" in err
+
+
 @pytest.mark.parametrize("content", ["{}", "[]", '{"rank": 6}'])
 def test_merge_of_a_malformed_report_is_a_usage_error(capsys, tmp_path, content):
     bad = tmp_path / "x.json"

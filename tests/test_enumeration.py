@@ -26,8 +26,6 @@ from rankforge.constructions import (
     subset_incidence_graph,
 )
 from rankforge.enumeration import (
-    _CONFLICTS,
-    _HEREDITARY,
     Core,
     ExtensionCandidate,
     GraphClass,
@@ -89,6 +87,16 @@ def _dedup_oracle_level(pred, n):
     return set(level)
 
 
+# Per class value, the predicate of the class's hereditary closure: the
+# non-bipartite class grows through triangle-free graphs.
+_CLOSURE_PREDICATES = {
+    "all": lambda g: True,
+    "triangle-free": is_triangle_free,
+    "bipartite": lambda g: bipartition(g) is not None,
+    "triangle-free-nonbipartite": is_triangle_free,
+}
+
+
 @pytest.mark.parametrize(
     "name,pred",
     [
@@ -99,7 +107,7 @@ def _dedup_oracle_level(pred, n):
 )
 def test_generation_matches_labeled_brute_force(name, pred):
     for n in range(1, 6):
-        gen = graphs_of_order(n, name)
+        gen = graphs_of_order(n, GraphClass(name))
         brute = {canonical_form(g).cert for g in labeled_graphs(n) if pred(g)}
         certs = {canonical_form(g).cert for g in gen}
         assert len(certs) == len(gen)  # no isomorph emitted twice
@@ -108,35 +116,35 @@ def test_generation_matches_labeled_brute_force(name, pred):
 
 @pytest.mark.parametrize("n", (6, 7, 8))
 def test_generation_matches_dedup_oracle(n):
-    gen = {canonical_form(g).cert for g in graphs_of_order(n, "triangle-free")}
+    gen = {canonical_form(g).cert for g in graphs_of_order(n, GraphClass.TRIANGLE_FREE)}
     oracle = _dedup_oracle_level(is_triangle_free, n)
     assert gen == oracle
 
 
 def test_generation_matches_dedup_oracle_nine_vertices():
     # covers the level the rank-7 finding lives on
-    gen = {canonical_form(g).cert for g in graphs_of_order(9, "triangle-free")}
+    gen = {canonical_form(g).cert for g in graphs_of_order(9, GraphClass.TRIANGLE_FREE)}
     oracle = _dedup_oracle_level(is_triangle_free, 9)
     assert gen == oracle
 
 
 def test_triangle_free_counts_to_nine():
     # matches the published isomorph counts for triangle-free graphs
-    got = [len(graphs_of_order(n, "triangle-free")) for n in range(1, 10)]
+    got = [len(graphs_of_order(n, GraphClass.TRIANGLE_FREE)) for n in range(1, 10)]
     assert got == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 
 
 @pytest.mark.extended
 def test_triangle_free_count_at_ten():
-    assert len(graphs_of_order(10, "triangle-free")) == 12172  # OEIS A006785
+    assert len(graphs_of_order(10, GraphClass.TRIANGLE_FREE)) == 12172  # OEIS A006785
 
 
 @pytest.mark.extended
 def test_triangle_free_count_at_eleven():
     # Counted from the stream of accepted children, as gen_cores streams its
     # top level: level 11 is never cached.
-    level10 = _level("triangle-free", 10)
-    assert sum(1 for _ in _children("triangle-free", level10)) == 105071  # OEIS A006785
+    tf = GraphClass.TRIANGLE_FREE
+    assert sum(1 for _ in _children(tf, _level(tf, 10))) == 105071  # OEIS A006785
 
 
 @pytest.mark.parametrize(
@@ -147,7 +155,7 @@ def test_triangle_free_count_at_eleven():
     ],
 )
 def test_published_counts_of_the_other_classes(name, counts):
-    got = [len(graphs_of_order(n, name)) for n in range(1, len(counts) + 1)]
+    got = [len(graphs_of_order(n, GraphClass(name))) for n in range(1, len(counts) + 1)]
     assert got == counts
 
 
@@ -173,7 +181,7 @@ def test_generation_matches_networkx_atlas(name):
             if h.number_of_nodes() == n and pred(nx, h):
                 buckets.setdefault(wl(h), []).append(h)
         matched = set()
-        gen = graphs_of_order(n, name)
+        gen = graphs_of_order(n, GraphClass(name))
         for g in gen:
             h = nx.Graph()
             h.add_nodes_from(range(g.n))
@@ -213,10 +221,10 @@ def test_degree_pretest_rejects_only_what_the_orbit_test_rejects(name, top):
     # child that passes the class predicate, over one neighbourhood per orbit
     # of all 2^k subsets, without the conflict rule, the degree pre-test and
     # the root-cell test.
-    pred = _HEREDITARY[name]
+    cls, pred = GraphClass(name), _CLOSURE_PREDICATES[name]
     for n in range(2, top + 1):
         accepted = []
-        for parent, pform in _level(name, n - 1):
+        for parent, pform in _level(cls, n - 1):
             for nb in _subset_orbit_reps(parent.n, pform.generators):
                 child = add_vertex(parent, nb)
                 if not pred(child):
@@ -235,18 +243,19 @@ def test_degree_pretest_rejects_only_what_the_orbit_test_rejects(name, top):
                     assert not passes
                 if passes:
                     accepted.append((child, cf))
-        assert tuple(_level(name, n)) == tuple(accepted)
+        assert tuple(_level(cls, n)) == tuple(accepted)
 
 
-@pytest.mark.parametrize("name", sorted(_HEREDITARY))
+@pytest.mark.parametrize("name", sorted(_CLOSURE_PREDICATES))
 def test_admissible_masks_are_the_neighbourhoods_the_predicate_accepts(name):
     # Brute force: every mask over each parent with at most 6 vertices,
-    # filtered by the class predicate on the whole child.
-    pred = _HEREDITARY[name]
+    # filtered by the predicate of the class's hereditary closure on the
+    # whole child.
+    cls, pred = GraphClass(name), _CLOSURE_PREDICATES[name]
     for n in range(1, 7):
-        for parent, _ in _level(name, n):
+        for parent, _ in _level(cls, n):
             brute = [m for m in range(1 << n) if pred(add_vertex(parent, m))]
-            assert _admissible(n, _CONFLICTS[name](parent)) == brute, parent
+            assert _admissible(n, cls.conflicts(parent.adj)) == brute, parent
 
 
 def test_level_certificates_match_golden_digest():
@@ -255,7 +264,7 @@ def test_level_certificates_match_golden_digest():
     # and golden reports depend on them, so a speedup may not change them.
     h = hashlib.sha256()
     for name in ("triangle-free", "bipartite"):
-        for _, cf in _level(name, 8):
+        for _, cf in _level(GraphClass(name), 8):
             h.update(f"{cf.cert.hex()} {cf.labeling} {cf.generators}\n".encode())
     assert h.hexdigest() == (
         "4d45ff008376421ce87a1122fcc1336e78000fbcd884c72fc2c131f7fed2fa13"
@@ -283,7 +292,7 @@ def _cores_from_whole_level(r, cls):
     and then filtered, with det and adjugate of every graph that may be a
     core."""
     out = []
-    for g, form in _level(cls.hereditary_name, r):
+    for g, form in _level(cls, r):
         if 0 in g.adj or len(set(g.adj)) < r:
             continue
         if cls.bipartite is False and two_colouring(g.adj) is not None:
@@ -322,21 +331,20 @@ def test_rank_screen_rejects_only_graphs_whose_children_are_all_singular(monkeyp
     real = enumeration._children
     rejected = []
 
-    def recording(pred_name, parents, keep=None):
+    def recording(graph_class, parents, keep=None):
         def screen(rows):
             kept = keep(rows)
             if not kept and len(rows) < r:
                 rejected.append(Graph(len(rows), rows))
             return kept
 
-        return real(pred_name, parents, keep and screen)
+        return real(graph_class, parents, keep and screen)
 
     monkeypatch.setattr(enumeration, "_children", recording)
     list(gen_cores(r, cls))
-    conflicts = _CONFLICTS[cls.hereditary_name]
     for g in rejected:
         assert fraction_rank(adjacency_matrix(g)) < 2 * g.n - r
-        for nb in _admissible(g.n, conflicts(g)):
+        for nb in _admissible(g.n, cls.conflicts(g.adj)):
             assert rank_exact(adjacency_matrix(add_vertex(g, nb))) < 2 * (g.n + 1) - r, (g, nb)
     assert rejected or r == 4
 
@@ -761,7 +769,7 @@ def test_rank7_pair_confirmed_by_direct_generation():
     9-vertex graphs (no core closure involved) finds the same two graphs."""
     rep = enumerate_extremal(7, GraphClass.TRIANGLE_FREE_NONBIPARTITE)
     direct = set()
-    for g in graphs_of_order(9, "triangle-free"):
+    for g in graphs_of_order(9, GraphClass.TRIANGLE_FREE):
         if (
             is_reduced(g)
             and bipartition(g) is None
@@ -781,7 +789,7 @@ def test_rank4_all_extremal_confirmed_by_direct_generation():
     for n in (6, 7):
         direct[n] = {
             to_graph6(canonical_graph(g))
-            for g in graphs_of_order(n, "all")
+            for g in graphs_of_order(n, GraphClass.ALL)
             if is_reduced(g) and rank_exact(adjacency_matrix(g)) == 4
         }
     assert direct[7] == set()
@@ -884,7 +892,7 @@ def test_orbit_walk_matches_the_closure_under_every_group_element():
     # range(n), and mask orbits on a shuffled half of all masks.
     rng = random.Random(11)
     for n in range(1, 8):
-        for _, form in _level("triangle-free", n):
+        for _, form in _level(GraphClass.TRIANGLE_FREE, n):
             group = _group_elements(form.generators, n)
             gens = form.generators
 
@@ -1000,6 +1008,49 @@ def test_traced_names_resolve_on_enumeration():
     assert traced.TRACED and missing == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--rank", "7", "--class", "tfnb", "--jobs", "1"],
+        ["verify", "--theorem", "bigen", "--r", "8", "--jobs", "1"],
+    ],
+    ids=["tfnb-r7", "bigen-r8"],
+)
+def test_traced_run_counts_what_its_output_states(tmp_path, argv):
+    # perfbench/traced.py end to end: the run answers as an untraced run
+    # does, and its spans count what that answer states.
+    root = Path(__file__).resolve().parents[1]
+    path = root / "perfbench" / "traced.py"
+    if not path.is_file():
+        pytest.skip("no perfbench/ next to the tests")
+    spans_path = tmp_path / "spans.json"
+    src = str(Path(rankforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, str(path), str(spans_path), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(spans_path.read_text())["spans"]
+    if argv[0] == "verify":
+        assert proc.stdout.strip() == (
+            f"PASS bigen r=8: 18 reduced bipartite rank-8 graphs of order > {c_bound(8)}; "
+            "0 with minimum part != 4"
+        )
+        assert len({tuple(s[4]) for s in spans if s[0] == "canonical_graph"}) == 18
+        return
+    report = json.loads(proc.stdout)
+    want = enumerate_extremal(7, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=1).to_payload()
+    del report["elapsed_ms"], want["elapsed_ms"]
+    assert report == want
+    searches = [s[4] for s in spans if s[0] == "max_extension"]
+    assert (len(searches), sum(c for _, c in searches), sum(n for n, _ in searches)) == (
+        report["cores_processed"], report["candidates_total"], report["nodes_explored"]
+    )
+
+
 def test_determinism_across_job_counts():
     serial = enumerate_extremal(7, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=1)
     parallel = enumerate_extremal(7, GraphClass.TRIANGLE_FREE_NONBIPARTITE, jobs=2)
@@ -1033,6 +1084,54 @@ def test_merge_needs_shards_of_one_rank_and_class():
         merge_reports(parts)
 
 
+def test_merge_refuses_a_missing_repeated_or_foreign_shard():
+    def shard(k, i):
+        return enumerate_extremal(6, GraphClass.TRIANGLE_FREE, jobs=1, shards=k, shard_index=i)
+
+    s0, s1 = (shard(2, i).to_payload() for i in range(2))
+    assert (s1["shards"], s1["shard_index"]) == (2, 1)
+    needs = r"merge needs shard indices 0\.\.1 once each: "
+    with pytest.raises(ValueError, match=needs + r"missing \[1\], repeated \[0\]"):
+        merge_reports([s0, s0])
+    with pytest.raises(ValueError, match=needs + r"missing \[0\], repeated \[\]"):
+        merge_reports([s1])
+    with pytest.raises(ValueError, match=needs + r"missing \[\], repeated \[1\]"):
+        merge_reports([s1, s0, s1])
+    with pytest.raises(ValueError, match="disagree .* shard count"):
+        merge_reports([s0, s1, shard(3, 2).to_payload()])
+    merged = merge_reports([s1, s0])
+    assert (merged["shards"], merged["shard_index"]) == (1, 0)
+
+
+def test_the_pool_starts_no_more_workers_than_there_are_cores(monkeypatch):
+    import multiprocessing
+
+    requested = []
+
+    class RecordingPool:
+        # Records the worker count and runs the search in this process.
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    rep = enumerate_extremal(6, GraphClass.TRIANGLE_FREE, jobs=64)
+    assert requested == [rep.cores_processed] == [8]
+    enumerate_extremal(6, GraphClass.TRIANGLE_FREE, jobs=3)
+    assert requested[1:] == [3]
+
+
 @pytest.mark.parametrize("shards, shard_index", [(None, 0), (2, None)])
 def test_shard_arguments_go_together(shards, shard_index):
     with pytest.raises(ValueError, match="given together"):
@@ -1045,6 +1144,8 @@ def test_report_payload_roundtrip():
     assert list(payload) == [
         "rank",
         "class",
+        "shards",
+        "shard_index",
         "max_order",
         "extremal",
         "cores_processed",
@@ -1083,8 +1184,12 @@ def test_report_counters_are_pinned(r, cls, counters):
         lambda p: {**p, "max_order": "7"},
         lambda p: {**p, "extremal": "Dhc"},
         lambda p: {**p, "nodes_explored": True},
+        lambda p: {**p, "shard_index": 1},
+        lambda p: {**p, "shard_index": -1},
+        lambda p: {**p, "shards": 0},
     ],
-    ids=["list", "empty", "no-class", "extra-key", "str-order", "str-extremal", "bool"],
+    ids=["list", "empty", "no-class", "extra-key", "str-order", "str-extremal", "bool",
+         "index-past-shards", "negative-index", "no-shards"],
 )
 def test_report_from_payload_rejects_other_shapes(change):
     payload = enumerate_extremal(5, GraphClass.TRIANGLE_FREE).to_payload()
