@@ -7,13 +7,13 @@ report file, and the merge reproduces the single-run report exactly (modulo
 elapsed time).
 """
 import argparse
+import json
 import pathlib
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from rankforge.canonical import dumps_report
 from rankforge.cli import positive_int
 from rankforge.codes import rowspace_distance2_max
 from rankforge.enumeration import (
@@ -40,14 +40,14 @@ def main() -> int:
         t0 = time.time()
         rep = enumerate_extremal(9, cls, jobs=args.jobs, shards=args.shards, shard_index=i)
         path = outdir / f"rank9-shard{i}.json"
-        path.write_text(dumps_report(rep.to_payload()) + "\n")
+        path.write_text(json.dumps(rep.to_payload(), indent=2) + "\n")
         payloads.append(rep.to_payload())
         print(f"shard {i + 1}/{args.shards}: max {rep.max_order}, "
               f"{rep.cores_processed} cores, {time.time() - t0:.1f}s -> {path}")
 
     merged = merge_reports(payloads)
     merged_path = outdir / "rank9-merged.json"
-    merged_path.write_text(dumps_report(merged) + "\n")
+    merged_path.write_text(json.dumps(merged, indent=2) + "\n")
     print(f"merged: max_order {merged['max_order']}, "
           f"extremal {merged['extremal']} -> {merged_path}")
 

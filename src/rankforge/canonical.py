@@ -3,8 +3,7 @@
 The canonical certificate is the maximal upper-triangle bitstring over the
 leaves of an individualization-refinement search tree. Automorphisms found as
 cert-equal leaves prune the tree (orbit pruning restricted to generators that
-fix the individualized prefix, which keeps the pruning sound); on demand they
-give the automorphism group order via a Schreier-Sims chain.
+fix the individualized prefix, which keeps the pruning sound).
 """
 from __future__ import annotations
 
@@ -18,16 +17,10 @@ Perm = tuple[int, ...]
 
 
 class CanonicalForm(NamedTuple):
-    n: int
     cert: bytes
     orbits: tuple[int, ...]       # smallest vertex of each vertex's orbit
     labeling: Perm                # original vertex -> canonical position
     generators: tuple[Perm, ...]  # generators of the automorphism group
-
-    @property
-    def group_size(self) -> int:
-        """Order of the automorphism group, computed from ``generators``."""
-        return _group_order(self.n, self.generators)
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
@@ -148,40 +141,6 @@ def _orbit_partition(n: int, gens) -> list[int]:
     return out
 
 
-def _group_order(n: int, gens) -> int:
-    """Order of <gens> via a deterministic Schreier-Sims stabilizer chain."""
-    order = 1
-    current = [g for g in gens if any(g[v] != v for v in range(n))]
-    identity = tuple(range(n))
-    for base in range(n):
-        if not current:
-            break
-        # Orbit of the base point with a transversal.
-        transversal: dict[int, Perm] = {base: identity}
-        frontier = [base]
-        while frontier:
-            pt = frontier.pop()
-            t = transversal[pt]
-            for g in current:
-                img = g[pt]
-                if img not in transversal:
-                    transversal[img] = _compose(g, t)
-                    frontier.append(img)
-        order *= len(transversal)
-        # Schreier generators for the stabilizer of the base point.
-        stab: list[Perm] = []
-        seen: set[Perm] = set()
-        for pt, t in transversal.items():
-            for g in current:
-                u = transversal[g[pt]]
-                s = _compose(_inverse(u), _compose(g, t))
-                if s != identity and s not in seen:
-                    seen.add(s)
-                    stab.append(s)
-        current = stab
-    return order
-
-
 def _search(n: int, adj: tuple[int, ...], root: list[int]) -> tuple[bytes, Perm, list[Perm]]:
     best_cert: bytes | None = None
     best_perm: Perm | None = None
@@ -247,7 +206,6 @@ def canonical_form(g: Graph, root: list[int] | None = None) -> CanonicalForm:
     cert, perm, gens = _search(g.n, g.adj, root)
     orbits = tuple(_orbit_partition(g.n, gens))
     return CanonicalForm(
-        n=g.n,
         cert=cert,
         orbits=orbits,
         labeling=perm,
@@ -330,16 +288,3 @@ def from_graph6(s: str) -> Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return Graph(n, tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Report serialization: JSON with a fixed key order
-# ---------------------------------------------------------------------------
-
-
-def dumps_report(payload: dict) -> str:
-    """Serialize a report dict preserving insertion (documented) key order."""
-    import json
-
-    return json.dumps(payload, indent=2)
-

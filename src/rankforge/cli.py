@@ -13,7 +13,7 @@ keeps only these rankforge modules besides ``cli`` and ``graphs``:
   reduce, check            canonical
   lemma                    structure, canonical, linalg
   code                     codes, linalg (plotkin also canonical, for graph6)
-  enumerate                enumeration, canonical, linalg
+  enumerate, merge         enumeration, canonical, linalg
   verify                   enumeration, canonical, linalg, constructions
 """
 from __future__ import annotations
@@ -150,7 +150,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    from .canonical import dumps_report
+    import json
+
     from .structure import (
         max_subgraph_below_rank,
         obstruction_free,
@@ -171,8 +172,7 @@ def _cmd_lemma(args) -> int:
     report = max_subgraph_below_rank(g, args.gap)
     payload = report.to_payload()
     payload["obstruction_free"] = obstruction_free(report)
-    text = dumps_report(payload)
-    _emit(text, args.report)
+    _emit(json.dumps(payload, indent=2), args.report)
     ok = all(v.ok for v in report.verdicts.values())
     return 0 if ok else COUNTEREXAMPLE
 
@@ -228,31 +228,13 @@ def _cmd_code(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    import json
+
     from . import enumeration as enum_mod
-    from .canonical import dumps_report
 
     # --class is a GraphClass value or one of three short names for one.
     short = {"tf": "triangle-free", "bi": "bipartite", "tfnb": "triangle-free-nonbipartite"}
     cls = enum_mod.GraphClass(short.get(args.graph_class, args.graph_class))
-    if args.merge:
-        import json
-
-        given = [opt for opt, on in (
-            ("--shards", args.shards is not None),
-            ("--shard-index", args.shard_index is not None),
-            ("--progress", args.progress),
-        ) if on]
-        if given:
-            raise ValueError(f"--merge takes no {', '.join(given)}")
-        payloads = []
-        for path in args.merge:
-            with open(path) as fh:
-                payloads.append(json.load(fh))
-        merged = enum_mod.merge_reports(payloads)
-        if merged["rank"] != args.rank or merged["class"] != cls.value:
-            raise ValueError("merge inputs disagree with --rank/--class")
-        _emit(dumps_report(merged), args.report)
-        return 0
     report = enum_mod.enumerate_extremal(
         args.rank,
         cls,
@@ -261,7 +243,20 @@ def _cmd_enumerate(args) -> int:
         shards=args.shards,
         shard_index=args.shard_index,
     )
-    _emit(dumps_report(report.to_payload()), args.report)
+    _emit(json.dumps(report.to_payload(), indent=2), args.report)
+    return 0
+
+
+def _cmd_merge(args) -> int:
+    import json
+
+    from .enumeration import merge_reports
+
+    payloads = []
+    for path in args.files:
+        with open(path) as fh:
+            payloads.append(json.load(fh))
+    _emit(json.dumps(merge_reports(payloads), indent=2), args.report)
     return 0
 
 
@@ -355,13 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
         "all", "triangle-free", "tf", "bipartite", "bi", "triangle-free-nonbipartite", "tfnb",
     ])
     p.add_argument("--jobs", type=positive_int, default=os.cpu_count(),
-                   help="worker processes (default: the CPU count); --merge ignores it")
+                   help="worker processes (default: the CPU count)")
     p.add_argument("--report")
     p.add_argument("--progress", action="store_true")
     p.add_argument("--shards", type=positive_int)
     p.add_argument("--shard-index", type=int)
-    p.add_argument("--merge", nargs="+", help="merge shard report files instead of running")
     p.set_defaults(func=_cmd_enumerate)
+
+    p = sub.add_parser("merge", help="merge the shard reports of one enumerate run")
+    p.add_argument("files", nargs="+", metavar="FILE")
+    p.add_argument("--report")
+    p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("verify", help="check a headline theorem at desk scale")
     p.add_argument("--theorem", choices=["main", "bi", "bigen", "remark"], required=True)

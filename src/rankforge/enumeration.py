@@ -505,18 +505,12 @@ class EnumerationReport(NamedTuple):
     elapsed_ms: int
 
     def to_payload(self) -> dict:
-        return {
-            "rank": self.rank,
-            "class": self.graph_class,
-            "shards": self.shards,
-            "shard_index": self.shard_index,
-            "max_order": self.max_order,
-            "extremal": list(self.extremal),
-            "cores_processed": self.cores_processed,
-            "candidates_total": self.candidates_total,
-            "nodes_explored": self.nodes_explored,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The report as a JSON object, keys in ``_REPORT_KEYS`` order."""
+        return {**dict(zip(_REPORT_KEYS, self)), "extremal": list(self.extremal)}
+
+
+# The payload keys: the field names in order, with ``graph_class`` renamed.
+_REPORT_KEYS = tuple("class" if f == "graph_class" else f for f in EnumerationReport._fields)
 
 
 def report_from_payload(payload) -> EnumerationReport:
@@ -524,20 +518,19 @@ def report_from_payload(payload) -> EnumerationReport:
     exactly the report keys, integer counters and strings where strings belong."""
     if not isinstance(payload, dict):
         raise ValueError("report is not a JSON object")
-    names = set(EnumerationReport._fields) - {"graph_class"} | {"class"}
+    names = set(_REPORT_KEYS)
     if payload.keys() != names:
         missing, unknown = sorted(names - payload.keys()), sorted(payload.keys() - names)
         raise ValueError(f"report keys: missing {missing}, unknown {unknown}")
-    kwargs = {"graph_class" if k == "class" else k: v for k, v in payload.items()}
-    counters = [v for k, v in kwargs.items() if k not in ("graph_class", "extremal")]
-    extremal = kwargs["extremal"]
+    report = EnumerationReport(*map(payload.get, _REPORT_KEYS))
+    counters = [v for f, v in zip(report._fields, report) if f not in ("graph_class", "extremal")]
     if not (
         all(type(v) is int for v in counters)
-        and type(extremal) is list
-        and all(type(v) is str for v in [kwargs["graph_class"], *extremal])
+        and type(report.extremal) is list
+        and all(type(v) is str for v in [report.graph_class, *report.extremal])
     ):
         raise ValueError("report has a value of the wrong type")
-    report = EnumerationReport(**{**kwargs, "extremal": tuple(extremal)})
+    report = report._replace(extremal=tuple(report.extremal))
     if not 0 <= report.shard_index < report.shards:
         raise ValueError(f"report shard index {report.shard_index} not in 0..{report.shards - 1}")
     return report
@@ -646,7 +639,6 @@ def enumerate_extremal(
     ``shards`` and ``shard_index`` (both or neither) only the cores whose index
     is ``shard_index`` mod ``shards`` are searched.
     """
-    _rank_range_check(r)
     if (shards is None) != (shard_index is None):
         raise ValueError("shards and shard index must be given together")
     if shards is not None and not 0 <= shard_index < shards:
@@ -697,7 +689,6 @@ def enumerate_extremal(
 def enumerate_all(r: int, cls: GraphClass, min_order: int = 0) -> tuple[Graph, ...]:
     """Every reduced rank-r class graph of order >= min_order, one canonical
     representative per isomorphism class, sorted by graph6."""
-    _rank_range_check(r)
     min_size = max(0, min_order - r)
     per_core = (
         (core, all_extensions(core, cls, min_size=min_size)) for core in gen_cores(r, cls)

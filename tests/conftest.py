@@ -29,6 +29,20 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return from_edges(n, edges)
 
 
+def group_elements(gens, n):
+    """Every element of the permutation group generated by ``gens``."""
+    identity = tuple(range(n))
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in elements:
+                elements.add(q)
+                frontier.append(q)
+    return elements
+
+
 @pytest.fixture(scope="session")
 def reduced_corpus() -> list[Graph]:
     """>= 500 random reduced graphs with 2 <= n <= 12."""

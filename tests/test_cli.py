@@ -10,7 +10,7 @@ import pytest
 
 import rankforge
 from rankforge.canonical import from_graph6, to_graph6
-from rankforge.cli import main
+from rankforge.cli import build_parser, main
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
 from rankforge.graphs import cycle_graph, path_graph
 
@@ -328,25 +328,6 @@ def test_enumerate_progress_lines(capsys, rank, cls, lines, jobs):
     assert code == 0 and err.splitlines() == lines
 
 
-def test_merge_that_disagrees_with_the_rank_is_a_usage_error(capsys, tmp_path):
-    shard = tmp_path / "r5.json"
-    code, _, _ = run_cli(
-        capsys,
-        ["enumerate", "--rank", "5", "--class", "tf", "--jobs", "1", "--report", str(shard)],
-    )
-    assert code == 0
-    out_path = tmp_path / "merged.json"
-    code, _, err = run_cli(
-        capsys,
-        [
-            "enumerate", "--rank", "6", "--class", "tf",
-            "--merge", str(shard), "--report", str(out_path),
-        ],
-    )
-    assert code == 2 and err == "error: merge inputs disagree with --rank/--class\n"
-    assert not out_path.exists()
-
-
 def test_enumerate_report_and_merge(capsys, tmp_path):
     report_path = tmp_path / "r5.json"
     code, out, _ = run_cli(
@@ -373,30 +354,19 @@ def test_enumerate_report_and_merge(capsys, tmp_path):
         assert code == 0
         shard_paths.append(str(p))
     merged_path = tmp_path / "merged.json"
-    code, _, _ = run_cli(
-        capsys,
-        [
-            "enumerate", "--rank", "6", "--class", "bipartite",
-            "--merge", *shard_paths, "--report", str(merged_path),
-        ],
-    )
+    code, _, _ = run_cli(capsys, ["merge", *shard_paths, "--report", str(merged_path)])
     assert code == 0
     merged = json.loads(merged_path.read_text())
     assert merged["max_order"] == 10 and len(merged["extremal"]) == 1
 
 
 @pytest.mark.parametrize(
-    "extra, named",
-    [
-        (["--shards", "5", "--shard-index", "3", "--progress"],
-         "--shards, --shard-index, --progress"),
-        (["--shards", "2"], "--shards"),
-        (["--shard-index", "0"], "--shard-index"),
-        (["--progress"], "--progress"),
-    ],
-    ids=["all-three", "shards", "shard-index", "progress"],
+    "extra",
+    [["--shards", "5"], ["--shard-index", "3"], ["--progress"], ["--jobs", "2"],
+     ["--rank", "6"], ["--class", "tf"]],
+    ids=["shards", "shard-index", "progress", "jobs", "rank", "class"],
 )
-def test_merge_with_a_run_option_is_a_usage_error(capsys, tmp_path, extra, named):
+def test_merge_with_a_run_option_is_a_usage_error(capsys, tmp_path, extra):
     shard = tmp_path / "s0.json"
     code, _, _ = run_cli(
         capsys,
@@ -404,11 +374,11 @@ def test_merge_with_a_run_option_is_a_usage_error(capsys, tmp_path, extra, named
     )
     assert code == 0
     out_path = tmp_path / "merged.json"
-    argv = ["enumerate", "--rank", "6", "--class", "tf", "--merge", str(shard)]
+    argv = ["merge", str(shard)]
     assert run_cli(capsys, [*argv, "--report", str(out_path)])[0] == 0
     out_path.unlink()
     code, out, err = run_cli(capsys, [*argv, *extra, "--report", str(out_path)])
-    assert code == 2 and out == "" and err == f"error: --merge takes no {named}\n"
+    assert code == 2 and out == "" and f"unrecognized arguments: {' '.join(extra)}" in err
     assert not out_path.exists()
 
 
@@ -425,8 +395,7 @@ def test_merge_of_an_incomplete_shard_set_is_a_usage_error(capsys, tmp_path, ind
                 "--shards", "2", "--shard-index", str(i), "--report", paths[i]]
         assert run_cli(capsys, argv)[0] == 0
     out_path = tmp_path / "merged.json"
-    argv = ["enumerate", "--rank", "6", "--class", "tf",
-            "--merge", *(paths[i] for i in indices), "--report", str(out_path)]
+    argv = ["merge", *(paths[i] for i in indices), "--report", str(out_path)]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"error: merge needs shard indices 0..1 once each: {named}\n"
@@ -462,9 +431,7 @@ def test_an_undocumented_class_name_is_a_usage_error(capsys, name):
 def test_merge_of_a_malformed_report_is_a_usage_error(capsys, tmp_path, content):
     bad = tmp_path / "x.json"
     bad.write_text(content)
-    code, _, err = run_cli(
-        capsys, ["enumerate", "--rank", "6", "--class", "bi", "--merge", str(bad)]
-    )
+    code, _, err = run_cli(capsys, ["merge", str(bad)])
     assert code == 2 and err.startswith("error: ")
 
 
@@ -616,31 +583,62 @@ sys.exit(code)
     [
         (
             ["bounds", "--r", "8"],
-            "rankforge.constructions",
+            ["rankforge.constructions"],
             ["rankforge.enumeration", "rankforge.canonical", "rankforge.linalg",
              "rankforge.codes", "rankforge.structure", "dataclasses", "inspect"],
         ),
         (
             ["enumerate", "--rank", "5", "--class", "tfnb", "--jobs", "1"],
-            "rankforge.enumeration",
+            ["rankforge.enumeration", "rankforge.canonical", "rankforge.linalg"],
+            ["rankforge.constructions", "rankforge.codes", "rankforge.structure",
+             "dataclasses"],
+        ),
+        (
+            ["merge", "s0.json"],
+            ["rankforge.enumeration", "rankforge.canonical", "rankforge.linalg"],
             ["rankforge.constructions", "rankforge.codes", "rankforge.structure",
              "dataclasses"],
         ),
     ],
-    ids=["bounds", "enumerate"],
+    ids=["bounds", "enumerate", "merge"],
 )
-def test_a_command_loads_only_the_modules_it_runs(argv, ran, absent):
+def test_a_command_loads_only_the_modules_it_runs(capsys, tmp_path, argv, ran, absent):
+    # The report that the merge case reads.
+    report = ["enumerate", "--rank", "5", "--class", "tfnb", "--jobs", "1",
+              "--report", str(tmp_path / "s0.json")]
+    assert run_cli(capsys, report)[0] == 0
     src = str(Path(rankforge.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_SCRIPT, *argv],
         capture_output=True,
         text=True,
+        cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.rpartition("--- modules")[2].split())
-    assert ran in loaded
+    assert sorted(set(ran) - loaded) == []
     assert sorted(loaded & set(absent)) == []
+
+
+def test_every_concrete_readme_cli_line_parses(capsys):
+    # The README's CLI block, less its comments and the lines with a choice
+    # ({...}), an optional part ([...]) or a placeholder value (--param P).
+    readme = (Path(rankforge.__file__).resolve().parents[2] / "README.md").read_text()
+    block = readme[readme.index("\n## CLI\n"):].split("```")[1]
+    commands = []
+    for line in block.splitlines():
+        line = line.partition("#")[0]
+        if not re.search(r"[{\[]|--[\w-]+ [A-Z]+\b", line):
+            commands += [part.split() for part in line.split(" | ") if part.strip()]
+    assert {argv[1] for argv in commands} >= {"bounds", "construct", "enumerate", "merge"}
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "rankforge"
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
 
 def test_no_rankforge_module_loads_dataclasses():

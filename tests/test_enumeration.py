@@ -59,7 +59,7 @@ from rankforge.graphs import (
 )
 from rankforge.linalg import adjacency_matrix, adjugate, det_exact, rank_exact
 
-from conftest import fraction_rank, labeled_graphs, leibniz_det
+from conftest import fraction_rank, group_elements, labeled_graphs, leibniz_det
 
 
 # ---------------------------------------------------------------------------
@@ -856,20 +856,6 @@ def test_emitted_graphs_are_rechecked_after_canonicalization(monkeypatch):
         enumerate_extremal(6, GraphClass.BIPARTITE)
 
 
-def _group_elements(gens, n):
-    """Every element of the permutation group generated by ``gens``."""
-    identity = tuple(range(n))
-    elements, frontier = {identity}, [identity]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = tuple(g[p[v]] for v in range(n))
-            if q not in elements:
-                elements.add(q)
-                frontier.append(q)
-    return elements
-
-
 def _check_orbit_walk(points, walk, orbit_of):
     """``walk`` is ``list(orbits(points, ...))``; ``orbit_of(x)`` is the
     brute-force orbit of x as a set."""
@@ -893,7 +879,7 @@ def test_orbit_walk_matches_the_closure_under_every_group_element():
     rng = random.Random(11)
     for n in range(1, 8):
         for _, form in _level(GraphClass.TRIANGLE_FREE, n):
-            group = _group_elements(form.generators, n)
+            group = group_elements(form.generators, n)
             gens = form.generators
 
             def vertex_orbit(v):
@@ -943,7 +929,7 @@ def test_one_completion_is_built_per_core_automorphism_orbit(monkeypatch, cls, e
     # Orbits of each core's automorphism group, applying every group element.
     orbits = 0
     for core, sets in per_core:
-        group = _group_elements(canonical_form(core.graph).generators, r)
+        group = group_elements(canonical_form(core.graph).generators, r)
         autos = [p for p in permutations(range(r)) if relabel(core.graph, p) == core.graph]
         assert group == set(autos)
         keys = {frozenset(c.vector for c in s) for s in sets}
