@@ -221,7 +221,8 @@ def _cmd_code(args) -> int:
     best, witness = codes_mod.rowspace_distance2_max(
         args.n, use_theorem_cutoff=not args.no_cutoff
     )
-    print(f"n={args.n} max_size={best} bound={5 * 2 ** (args.n - 4)}")
+    bound = codes_mod.rowspace_distance2_bound(witness).bound
+    print(f"n={args.n} max_size={best} bound={bound}")
     for line in witness.to_lines():
         print(line)
     return 0
@@ -273,7 +274,7 @@ def _cmd_verify(args) -> int:
     return 0 if result.passed else COUNTEREXAMPLE
 
 
-def positive_int(token: str) -> int:
+def _positive_int(token: str) -> int:
     """An argparse type: an integer of at least 1, such as a ``--jobs`` count."""
     try:
         value = int(token)
@@ -349,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="graph_class", required=True, choices=[
         "all", "triangle-free", "tf", "bipartite", "bi", "triangle-free-nonbipartite", "tfnb",
     ])
-    p.add_argument("--jobs", type=positive_int, default=os.cpu_count(),
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count(),
                    help="worker processes (default: the CPU count)")
     p.add_argument("--report")
     p.add_argument("--progress", action="store_true")
-    p.add_argument("--shards", type=positive_int)
+    p.add_argument("--shards", type=_positive_int)
     p.add_argument("--shard-index", type=int)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a headline theorem at desk scale")
     p.add_argument("--theorem", choices=["main", "bi", "bigen", "remark"], required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--jobs", type=positive_int, default=os.cpu_count(),
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count(),
                    help="worker processes for main and bi; bigen and remark "
                         "run in one process and ignore it")
     p.add_argument("--progress", action="store_true",

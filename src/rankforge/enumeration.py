@@ -39,7 +39,7 @@ from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
-from .canonical import _refine, canonical_form, canonical_graph, orbits, to_graph6
+from .canonical import _refine, canonical_form, canonical_graph, from_graph6, orbits, to_graph6
 from .graphs import (
     Colouring,
     Graph,
@@ -494,7 +494,7 @@ def all_extensions(core: Core, cls: GraphClass, min_size: int = 0):
 
 class EnumerationReport(NamedTuple):
     rank: int
-    graph_class: str
+    graph_class: GraphClass
     shards: int  # 1 and 0 for an unsharded or merged report
     shard_index: int
     max_order: int
@@ -506,7 +506,11 @@ class EnumerationReport(NamedTuple):
 
     def to_payload(self) -> dict:
         """The report as a JSON object, keys in ``_REPORT_KEYS`` order."""
-        return {**dict(zip(_REPORT_KEYS, self)), "extremal": list(self.extremal)}
+        return {
+            **dict(zip(_REPORT_KEYS, self)),
+            "class": self.graph_class.value,
+            "extremal": list(self.extremal),
+        }
 
 
 # The payload keys: the field names in order, with ``graph_class`` renamed.
@@ -515,7 +519,8 @@ _REPORT_KEYS = tuple("class" if f == "graph_class" else f for f in EnumerationRe
 
 def report_from_payload(payload) -> EnumerationReport:
     """Inverse of ``to_payload``; ValueError unless ``payload`` is an object with
-    exactly the report keys, integer counters and strings where strings belong."""
+    exactly the report keys, integer counters, a ``GraphClass`` name, and
+    extremal graphs that are canonical graph6 of ``max_order`` vertices each."""
     if not isinstance(payload, dict):
         raise ValueError("report is not a JSON object")
     names = set(_REPORT_KEYS)
@@ -530,9 +535,18 @@ def report_from_payload(payload) -> EnumerationReport:
         and all(type(v) is str for v in [report.graph_class, *report.extremal])
     ):
         raise ValueError("report has a value of the wrong type")
-    report = report._replace(extremal=tuple(report.extremal))
+    report = report._replace(
+        graph_class=GraphClass(report.graph_class), extremal=tuple(report.extremal)
+    )
     if not 0 <= report.shard_index < report.shards:
         raise ValueError(f"report shard index {report.shard_index} not in 0..{report.shards - 1}")
+    for g6 in report.extremal:
+        g = from_graph6(g6)
+        if g.n != report.max_order or g6 != to_graph6(canonical_graph(g)):
+            raise ValueError(
+                f"report extremal graph {g6!r} is not a canonical graph of order "
+                f"{report.max_order}"
+            )
     return report
 
 
@@ -674,7 +688,7 @@ def enumerate_extremal(
     max_order = r + best_size if best_size >= 0 else 0
     return EnumerationReport(
         rank=r,
-        graph_class=cls.value,
+        graph_class=cls,
         shards=shards or 1,
         shard_index=shard_index or 0,
         max_order=max_order,
@@ -741,7 +755,8 @@ def verify_theorem(
     bigen:  every reduced bipartite rank-r graph of order above c(r) has
             minimum part size exactly r/2 (r in 6, 8).
     remark: for odd r in 7..11, the extremal graph minus its y-z edge is a
-            reduced bipartite graph of rank r-1, order c(r-1), min part (r+1)/2.
+            reduced bipartite graph of rank r-1, order c(r-1), min part (r+1)/2;
+            ``bipartite_remark_graph`` refuses any other r.
     """
     from .constructions import (
         b_bound,
@@ -789,8 +804,6 @@ def verify_theorem(
         return TheoremVerification("bigen", r, passed, msg, tuple(bad))
 
     if which == "remark":
-        if r not in (7, 9, 11):
-            raise ValueError("remark check supports r in {7, 9, 11}")
         h = bipartite_remark_graph(r)
         failures = []
         if not is_reduced(h):

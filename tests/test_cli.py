@@ -427,7 +427,14 @@ def test_an_undocumented_class_name_is_a_usage_error(capsys, name):
     assert (code, out) == (2, "") and "argument --class: invalid choice" in err
 
 
-@pytest.mark.parametrize("content", ["{}", "[]", '{"rank": 6}'])
+_UNKNOWN_CLASS_REPORT = (
+    '{"rank": 5, "class": "nope", "shards": 1, "shard_index": 0, "max_order": 5, '
+    '"extremal": ["DLo"], "cores_processed": 1, "candidates_total": 0, '
+    '"nodes_explored": 1, "elapsed_ms": 1}'
+)
+
+
+@pytest.mark.parametrize("content", ["{}", "[]", '{"rank": 6}', _UNKNOWN_CLASS_REPORT])
 def test_merge_of_a_malformed_report_is_a_usage_error(capsys, tmp_path, content):
     bad = tmp_path / "x.json"
     bad.write_text(content)
@@ -455,7 +462,7 @@ def test_usage_errors(capsys):
     code, out, err = run_cli(
         capsys, ["enumerate", "--rank", "5", "--class", "tf", "--shards", "0", "--shard-index", "0"]
     )
-    assert code == 2 and out == "" and "argument --shards" in err
+    assert code == 2 and out == "" and "argument --shards: must be at least 1, got 0" in err
 
 
 def test_verify_main_names_the_rank_guard_as_enumerate_does(capsys, monkeypatch):
@@ -641,6 +648,14 @@ def test_every_concrete_readme_cli_line_parses(capsys):
             pytest.fail(f"README command does not parse: {' '.join(argv)}")
 
 
+def test_every_repository_path_the_readme_names_exists():
+    root = Path(rankforge.__file__).resolve().parents[2]
+    readme = (root / "README.md").read_text()
+    named = set(re.findall(r"\b(?:src|tests|scripts|perfbench)/[\w./-]*\w", readme))
+    assert named, "the pattern finds no path in README.md"
+    assert sorted(path for path in named if not (root / path).exists()) == []
+
+
 def test_no_rankforge_module_loads_dataclasses():
     src = str(Path(rankforge.__file__).resolve().parents[1])
     names = sorted(p.stem for p in Path(rankforge.__file__).parent.glob("*.py"))
@@ -658,60 +673,6 @@ def test_no_rankforge_module_loads_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
-
-
-@pytest.mark.parametrize(
-    "script, argv",
-    [("verify_all.py", ["--jobs", "0"]), ("run_extended.py", ["--shards", "0"])],
-    ids=["verify_all-jobs", "run_extended-shards"],
-)
-def test_scripts_reject_a_count_below_one_before_any_work(tmp_path, script, argv):
-    scripts = Path(rankforge.__file__).resolve().parents[2] / "scripts"
-    proc = subprocess.run(
-        [sys.executable, str(scripts / script), *argv],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        timeout=120,
-    )
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "must be at least 1, got 0" in proc.stderr
-    assert list(tmp_path.iterdir()) == []  # run_extended.py writes its reports/ here
-
-
-def test_run_extended_merges_its_shards(tmp_path):
-    scripts = Path(rankforge.__file__).resolve().parents[2] / "scripts"
-    proc = subprocess.run(
-        [sys.executable, str(scripts / "run_extended.py"),
-         "--skip-codes", "--shards", "2", "--outdir", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "merge equals single run: True"
-    names = ["rank9-merged.json", "rank9-shard0.json", "rank9-shard1.json"]
-    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == names
-    assert list(tmp_path.iterdir()) == [tmp_path / "out"]
-
-
-def test_verify_all_runs_the_battery(tmp_path):
-    scripts = Path(rankforge.__file__).resolve().parents[2] / "scripts"
-    proc = subprocess.run(
-        [sys.executable, str(scripts / "verify_all.py"), "--jobs", "1"],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert any(
-        line.startswith("known deviation: main r=7") and "('H@Tcd?N',)" in line
-        for line in lines
-    )
-    assert lines[-1] == "all checks consistent with the computed ground truth"
 
 
 def test_importing_the_package_loads_no_module_and_defines_only_its_version():

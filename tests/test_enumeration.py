@@ -1048,12 +1048,14 @@ def test_determinism_across_job_counts():
     assert a == b
 
 
-def test_sharding_and_merge():
-    full = enumerate_extremal(6, GraphClass.BIPARTITE)
-    parts = [
-        enumerate_extremal(6, GraphClass.BIPARTITE, shards=3, shard_index=i)
-        for i in range(3)
-    ]
+@pytest.mark.parametrize(
+    "r, cls, shards",
+    [(6, GraphClass.BIPARTITE, 3), (9, GraphClass.TRIANGLE_FREE_NONBIPARTITE, 2)],
+    ids=["bi-6", "tfnb-9"],
+)
+def test_sharding_and_merge(r, cls, shards):
+    full = enumerate_extremal(r, cls)
+    parts = [enumerate_extremal(r, cls, shards=shards, shard_index=i) for i in range(shards)]
     merged = merge_reports([p.to_payload() for p in parts])
     single = full.to_payload()
     del merged["elapsed_ms"], single["elapsed_ms"]
@@ -1173,9 +1175,15 @@ def test_report_counters_are_pinned(r, cls, counters):
         lambda p: {**p, "shard_index": 1},
         lambda p: {**p, "shard_index": -1},
         lambda p: {**p, "shards": 0},
+        lambda p: {**p, "extremal": ["not graph6"]},
+        lambda p: {**p, "class": "nope"},
+        # C5 labeled along the cycle: the right graph, but not canonical ("DLo").
+        lambda p: {**p, "extremal": [to_graph6(cycle_graph(5))]},
+        lambda p: {**p, "max_order": 10},
     ],
     ids=["list", "empty", "no-class", "extra-key", "str-order", "str-extremal", "bool",
-         "index-past-shards", "negative-index", "no-shards"],
+         "index-past-shards", "negative-index", "no-shards", "not-graph6", "unknown-class",
+         "non-canonical", "wrong-order"],
 )
 def test_report_from_payload_rejects_other_shapes(change):
     payload = enumerate_extremal(5, GraphClass.TRIANGLE_FREE).to_payload()
@@ -1190,27 +1198,28 @@ def test_report_from_payload_rejects_other_shapes(change):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_main_small():
-    assert verify_theorem("main", 6).passed
-    res = verify_theorem("main", 5)
-    assert res.passed and res.report.max_order == 5
+@pytest.mark.parametrize("r", (5, 6, 8, 9))
+def test_verify_main_small(r):
+    res = verify_theorem("main", r)
+    assert res.passed and res.report.max_order == c_bound(r)
 
 
 def test_verify_main_rank7_counterexample():
     res = verify_theorem("main", 7)
     assert not res.passed
-    assert len(res.counterexamples) == 1
+    assert res.counterexamples == ("H@Tcd?N",) and res.report.max_order == 9
     g = from_graph6(res.counterexamples[0])
     assert rank_exact(adjacency_matrix(g)) == 7 and g.n == 9
 
 
-def test_verify_bi():
-    assert verify_theorem("bi", 4).passed
-    assert verify_theorem("bi", 6).passed
+@pytest.mark.parametrize("r", (4, 6, 8))
+def test_verify_bi(r):
+    assert verify_theorem("bi", r).passed
 
 
-def test_verify_bigen_rank6():
-    res = verify_theorem("bigen", 6)
+@pytest.mark.parametrize("r", (6, 8))
+def test_verify_bigen(r):
+    res = verify_theorem("bigen", r)
     assert res.passed, res.message
 
 
@@ -1218,8 +1227,10 @@ def test_verify_remark():
     for r in (7, 9, 11):
         res = verify_theorem("remark", r)
         assert res.passed, res.message
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="odd rank only"):
         verify_theorem("remark", 8)
+    with pytest.raises(ValueError, match=r"supported for r in \{7, 9, 11\}"):
+        verify_theorem("remark", 5)
 
 
 def test_verify_unknown():
