@@ -251,13 +251,16 @@ def _cmd_enumerate(args) -> int:
 def _cmd_merge(args) -> int:
     import json
 
-    from .enumeration import merge_reports
+    from .enumeration import merge_reports, report_from_payload
 
-    payloads = []
+    reports = []
     for path in args.files:
-        with open(path) as fh:
-            payloads.append(json.load(fh))
-    _emit(json.dumps(merge_reports(payloads), indent=2), args.report)
+        try:
+            with open(path) as fh:
+                reports.append(report_from_payload(json.load(fh)))
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    _emit(json.dumps(merge_reports(reports).to_payload(), indent=2), args.report)
     return 0
 
 

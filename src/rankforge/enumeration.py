@@ -395,15 +395,17 @@ def _extension_sets(core: Core, cls: GraphClass, floor: int, maximize: bool):
     indices, and the pool holds only indices above the last one chosen, so
     its bits ascend in the order they were chosen. Candidate i is vertex
     r + i of the completion, whose 2-colouring is carried down the recursion
-    when the class constrains bipartiteness (None once it has an odd cycle,
-    and throughout when it does not).
+    in the bipartite class.
 
-    For tfnb, ``gen_cores`` lists only non-bipartite cores, so the pipeline
-    starts every tfnb search with no colouring. The colouring still runs when
-    a caller passes a bipartite core with the tfnb class: the core-rule tests
-    do so on purpose and take this search as their reference.
+    The core must fit the class's bipartiteness rule (ValueError otherwise).
+    Every completion of a non-bipartite core keeps its odd cycle, so the
+    non-bipartite search is the triangle-free one.
     """
     triangle_free, bipartite = cls.triangle_constrained, cls.bipartite
+    colouring = None if bipartite is None else two_colouring(core.graph.adj)
+    if bipartite is not None and (colouring is not None) != bipartite:
+        need = "bipartite" if bipartite else "non-bipartite"
+        raise ValueError(f"a {cls.value} search needs a {need} core")
     cands = candidates(core, cls)
     k = len(cands)
     compat = [0] * k
@@ -430,12 +432,11 @@ def _extension_sets(core: Core, cls: GraphClass, floor: int, maximize: bool):
         nonlocal floor, nodes
         nodes += 1
         size = chosen.bit_count()
-        if bipartite is not False or colouring is None:
-            if maximize and size > floor:
-                floor = size
-                found.clear()
-            if size >= floor:
-                found.append(chosen)
+        if maximize and size > floor:
+            floor = size
+            found.clear()
+        if size >= floor:
+            found.append(chosen)
         if size + _clique_cover_bound(incompat, pool) < floor:
             return
         m = pool
@@ -451,11 +452,11 @@ def _extension_sets(core: Core, cls: GraphClass, floor: int, maximize: bool):
                 child = add_to_colouring(
                     colouring, 1 << (shift + v), cands[v].vector | ones << shift
                 )
-                if child is None and bipartite:
+                if child is None:
                     continue  # bipartiteness is hereditary: no superset recovers
             rec(chosen | low, pool & compat[v] & ~((low << 1) - 1), child)
 
-    rec(0, full, None if bipartite is None else two_colouring(core.graph.adj))
+    rec(0, full, colouring)
     return cands, [tuple(cands[i] for i in bits(s)) for s in found], nodes
 
 
@@ -468,13 +469,10 @@ class ExtensionResult(NamedTuple):
 
 def max_extension(core: Core, cls: GraphClass) -> ExtensionResult:
     """Every largest extension set whose completion satisfies the class
-    predicate (ties included, in search order).
-
-    size is -1 when nothing (not even the bare core) passes the predicate.
-    """
+    predicate (ties included, in search order)."""
     cands, sets, nodes = _extension_sets(core, cls, 0, True)
     return ExtensionResult(
-        size=len(sets[0]) if sets else -1,
+        size=len(sets[0]),
         optimal_sets=tuple(sets),
         candidate_count=len(cands),
         nodes=nodes,
@@ -518,9 +516,12 @@ _REPORT_KEYS = tuple("class" if f == "graph_class" else f for f in EnumerationRe
 
 
 def report_from_payload(payload) -> EnumerationReport:
-    """Inverse of ``to_payload``; ValueError unless ``payload`` is an object with
-    exactly the report keys, integer counters, a ``GraphClass`` name, and
-    extremal graphs that are canonical graph6 of ``max_order`` vertices each."""
+    """Inverse of ``to_payload``; ValueError unless ``payload`` is a report that
+    an enumeration could write: an object with exactly the report keys,
+    integer counters (none negative, the rank at least ``MIN_RANK``), a
+    ``GraphClass`` name, and extremal graphs, present iff ``max_order`` > 0,
+    sorted and distinct, that are canonical graph6 of ``max_order`` vertices
+    each and pass the emission re-check against the report's rank and class."""
     if not isinstance(payload, dict):
         raise ValueError("report is not a JSON object")
     names = set(_REPORT_KEYS)
@@ -528,9 +529,11 @@ def report_from_payload(payload) -> EnumerationReport:
         missing, unknown = sorted(names - payload.keys()), sorted(payload.keys() - names)
         raise ValueError(f"report keys: missing {missing}, unknown {unknown}")
     report = EnumerationReport(*map(payload.get, _REPORT_KEYS))
-    counters = [v for f, v in zip(report._fields, report) if f not in ("graph_class", "extremal")]
+    counters = {
+        f: v for f, v in zip(report._fields, report) if f not in ("graph_class", "extremal")
+    }
     if not (
-        all(type(v) is int for v in counters)
+        all(type(v) is int for v in counters.values())
         and type(report.extremal) is list
         and all(type(v) is str for v in [report.graph_class, *report.extremal])
     ):
@@ -540,17 +543,35 @@ def report_from_payload(payload) -> EnumerationReport:
     )
     if not 0 <= report.shard_index < report.shards:
         raise ValueError(f"report shard index {report.shard_index} not in 0..{report.shards - 1}")
+    low = [f for f, v in counters.items() if v < (MIN_RANK if f == "rank" else 0)]
+    if low:
+        raise ValueError(f"report values out of range: {low}")
+    if bool(report.extremal) != (report.max_order > 0):
+        raise ValueError(
+            f"report has max order {report.max_order} and {len(report.extremal)} extremal graphs"
+        )
+    if list(report.extremal) != sorted(set(report.extremal)):
+        raise ValueError("report extremal graphs are not sorted and distinct")
     for g6 in report.extremal:
-        g = from_graph6(g6)
+        try:
+            g = from_graph6(g6)
+        except ValueError as exc:
+            raise ValueError(f"report extremal graph {g6!r}: {exc}") from None
         if g.n != report.max_order or g6 != to_graph6(canonical_graph(g)):
             raise ValueError(
                 f"report extremal graph {g6!r} is not a canonical graph of order "
                 f"{report.max_order}"
             )
+        fault = _fault(g, report.rank, report.graph_class)
+        if fault:
+            raise ValueError(
+                f"report extremal graph {g6!r} {fault} "
+                f"(rank {report.rank}, class {report.graph_class.value})"
+            )
     return report
 
 
-def merge_reports(payloads: list[dict]) -> dict:
+def merge_reports(reports: list[EnumerationReport]) -> EnumerationReport:
     """Merge shard reports of one run: max order wins, extremal lists of the
     winning shards union (deduplicated, sorted), counters add. The reports
     must share one shard count K and hold the indices 0..K-1 once each; the
@@ -558,7 +579,6 @@ def merge_reports(payloads: list[dict]) -> dict:
 
     ``elapsed_ms`` adds too, so in a merged report it is the sum of the shard
     times, the work done, not the wall time of shards that ran in parallel."""
-    reports = [report_from_payload(p) for p in payloads]
     if not reports:
         raise ValueError("nothing to merge")
     first = reports[0]
@@ -586,17 +606,26 @@ def merge_reports(payloads: list[dict]) -> dict:
         candidates_total=sum(r.candidates_total for r in reports),
         nodes_explored=sum(r.nodes_explored for r in reports),
         elapsed_ms=sum(r.elapsed_ms for r in reports),
-    ).to_payload()
+    )
+
+
+def _fault(g: Graph, r: int, cls: GraphClass) -> str | None:
+    """The first of the checks every emitted graph passes that ``g`` fails,
+    named, or None: rank r, reduced, the class predicate."""
+    if rank_exact(adjacency_matrix(g)) != r:
+        return "has wrong rank"
+    if not is_reduced(g):
+        return "is not reduced"
+    if not cls.final_predicate(g):
+        return "violates its class predicate"
+    return None
 
 
 def _assert_sound(g: Graph, r: int, cls: GraphClass):
     """Re-check an emitted graph; raises InternalError (also under python -O)."""
-    if rank_exact(adjacency_matrix(g)) != r:
-        raise InternalError("emitted graph has wrong rank")
-    if not is_reduced(g):
-        raise InternalError("emitted graph is not reduced")
-    if not cls.final_predicate(g):
-        raise InternalError("emitted graph violates its class predicate")
+    fault = _fault(g, r, cls)
+    if fault:
+        raise InternalError(f"emitted graph {fault}")
 
 
 def _orbit_firsts(core: Core, sets):
@@ -677,11 +706,7 @@ def enumerate_extremal(
             results.append(res)
             best_size = max(best_size, res.size)
             if progress:
-                print(
-                    f"core {i + 1}/{len(cores)}: best so far "
-                    f"{r + best_size if best_size >= 0 else 'none'}",
-                    file=sys.stderr,
-                )
+                print(f"core {i + 1}/{len(cores)}: best so far {r + best_size}", file=sys.stderr)
 
     winners = [(core, res) for core, res in zip(cores, results) if res.size == best_size]
     extremal = _emitted(r, cls, ((c, res.optimal_sets) for c, res in winners))

@@ -142,19 +142,22 @@ def test_graph6_roundtrip_random(n, rnd):
 
 
 def test_graph6_rejects_malformed():
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error, match="empty graph6 string"):
         from_graph6("")
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error, match="expected 1 data bytes for n=2, got 0"):
         from_graph6("A")  # missing data byte
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error, match="expected 1 data bytes for n=2, got 2"):
         from_graph6("A_~")  # trailing junk
-    with pytest.raises(Graph6Error):
-        from_graph6("~??")  # long form
-    with pytest.raises(Graph6Error):
-        from_graph6("B" + chr(30))  # byte out of range
-    with pytest.raises(Graph6Error):
-        from_graph6("A" + chr(63 + 1))  # nonzero padding for n=2
-    with pytest.raises(Graph6Error):
+    with pytest.raises(Graph6Error, match="long form"):
+        from_graph6("~??")
+    # Bytes below 63 that are not whitespace, which ``from_graph6`` strips.
+    with pytest.raises(Graph6Error, match="data byte 40 out of range"):
+        from_graph6("B(")
+    with pytest.raises(Graph6Error, match="header byte 50 out of range"):
+        from_graph6(chr(50))
+    with pytest.raises(Graph6Error, match="nonzero padding bits"):
+        from_graph6("A" + chr(63 + 1))  # n=2
+    with pytest.raises(Graph6Error, match="at most 62 vertices"):
         to_graph6(Graph(63, (0,) * 63))
 
 

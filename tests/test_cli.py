@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 import rankforge
-from rankforge.canonical import from_graph6, to_graph6
+from rankforge.canonical import canonical_graph, from_graph6, to_graph6
 from rankforge.cli import build_parser, main
 from rankforge.constructions import extremal_triangle_free, subset_incidence_graph
-from rankforge.graphs import cycle_graph, path_graph
+from rankforge.graphs import cycle_graph, from_edges, path_graph
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -434,12 +434,32 @@ _UNKNOWN_CLASS_REPORT = (
 )
 
 
-@pytest.mark.parametrize("content", ["{}", "[]", '{"rank": 6}', _UNKNOWN_CLASS_REPORT])
-def test_merge_of_a_malformed_report_is_a_usage_error(capsys, tmp_path, content):
-    bad = tmp_path / "x.json"
-    bad.write_text(content)
-    code, _, err = run_cli(capsys, ["merge", str(bad)])
-    assert code == 2 and err.startswith("error: ")
+
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ("{}", "report keys: missing"),
+        ("[]", "report is not a JSON object"),
+        ('{"rank": 6}', "report keys: missing"),
+        (_UNKNOWN_CLASS_REPORT, "'nope' is not a valid GraphClass"),
+        (_UNKNOWN_CLASS_REPORT[:22], "Unterminated string"),
+        (
+            _UNKNOWN_CLASS_REPORT.replace("nope", "triangle-free").replace("DLo", "n" + "?" * 9),
+            "report extremal graph 'n?????????': expected 181 data bytes for n=47, got 9",
+        ),
+        (None, "No such file or directory"),
+    ],
+    ids=["empty", "list", "partial", "unknown-class", "truncated", "bad-entry", "missing"],
+)
+def test_merge_of_a_malformed_report_is_a_usage_error(capsys, tmp_path, content, named):
+    good, bad, out_path = (tmp_path / name for name in ("s0.json", "x.json", "merged.json"))
+    argv = ["enumerate", "--rank", "5", "--class", "tf", "--jobs", "1", "--report", str(good)]
+    assert run_cli(capsys, argv)[0] == 0
+    if content is not None:
+        bad.write_text(content)
+    code, out, err = run_cli(capsys, ["merge", str(good), str(bad), "--report", str(out_path)])
+    assert (code, out) == (2, "") and err.startswith(f"error: {bad}: ") and named in err
+    assert not out_path.exists()
 
 
 def test_verify_exit_codes(capsys):
@@ -450,6 +470,54 @@ def test_verify_exit_codes(capsys):
     # the rank-7 counterexample surfaces as exit code 1 with evidence
     code, out, _ = run_cli(capsys, ["verify", "--theorem", "main", "--r", "7", "--jobs", "1"])
     assert code == 1 and "counterexample" in out
+
+
+_FOUR_VERTICES_ONE_TRIANGLE = from_edges(4, [(0, 1), (0, 2), (1, 2)])
+_TWO_EDGES = from_edges(4, [(0, 1), (2, 3)])  # disconnected
+_STAR = from_edges(4, [(0, 1), (0, 2), (0, 3)])  # parts of 1 and 3 vertices
+
+
+@pytest.mark.parametrize(
+    "argv, target, fake, lines",
+    [
+        (
+            ["main", "--r", "6", "--jobs", "1"],
+            "rankforge.constructions.c_bound",
+            lambda r: 10,
+            ["FAIL main r=6: max order 9 (expected 10); 1 extremal graph(s)",
+             f"counterexample: {to_graph6(canonical_graph(extremal_triangle_free(6).graph))}"],
+        ),
+        (
+            ["bigen", "--r", "6"],
+            "rankforge.enumeration.enumerate_all",
+            lambda r, cls, min_order: (_TWO_EDGES, _STAR),
+            ["FAIL bigen r=6: 2 reduced bipartite rank-6 graphs of order > 9; "
+             "2 with minimum part != 3",
+             f"counterexample: {to_graph6(_TWO_EDGES)}",
+             f"counterexample: {to_graph6(_STAR)}"],
+        ),
+        (
+            ["remark", "--r", "7"],
+            "rankforge.constructions.bipartite_remark_graph",
+            lambda r: _FOUR_VERTICES_ONE_TRIANGLE,
+            ["FAIL remark r=7: not reduced; not bipartite; rank 3 != 6; order 4 != 9",
+             f"counterexample: {to_graph6(_FOUR_VERTICES_ONE_TRIANGLE)}"],
+        ),
+        (
+            ["remark", "--r", "7"],
+            "rankforge.constructions.bipartite_remark_graph",
+            lambda r: path_graph(2),
+            ["FAIL remark r=7: rank 2 != 6; order 2 != 9; min part 1 != 4",
+             f"counterexample: {to_graph6(path_graph(2))}"],
+        ),
+    ],
+    ids=["main-order", "bigen", "remark-triangle", "remark-edge"],
+)
+def test_verify_prints_every_counterexample(capsys, monkeypatch, argv, target, fake, lines):
+    # Each way a check can fail, forced by patching what it checks.
+    monkeypatch.setattr(target, fake)
+    code, out, err = run_cli(capsys, ["verify", "--theorem", *argv])
+    assert (code, out.splitlines(), err) == (1, lines, "")
 
 
 def test_usage_errors(capsys):

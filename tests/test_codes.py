@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import rankforge
+from rankforge import codes
 from rankforge.codes import (
     EQUALITY_ANTIPODAL_PAIR,
     EQUALITY_EVEN_WEIGHT,
@@ -220,7 +221,12 @@ def test_rowspace_bound_random_codes():
     assert violations == 0
 
 
-def test_rowspace_max_length5_exact():
+@pytest.mark.parametrize("seed_weight", (None, 1), ids=("seed-optimal", "seed-weight-1"))
+def test_rowspace_max_length5_exact(monkeypatch, seed_weight):
+    if seed_weight is not None:
+        # A seed of 5 words below the optimum, so the search records better codes.
+        real = codes._constant_weight_code
+        monkeypatch.setattr(codes, "_constant_weight_code", lambda n, w: real(n, seed_weight))
     best, witness = rowspace_distance2_max(5)
     assert best == 10
     assert len(witness) == 10

@@ -622,28 +622,30 @@ def test_max_extension_keeps_every_tied_optimum(r, cls):
     the optimal sets are exactly the valid sets of the optimal size."""
     for core in gen_cores(r, cls):
         res = max_extension(core, cls)
-        tied = [
-            s
-            for s in all_extensions(core, cls, min_size=max(res.size, 0))
-            if len(s) == res.size
-        ]
+        tied = [s for s in all_extensions(core, cls, min_size=res.size) if len(s) == res.size]
         assert list(res.optimal_sets) == tied
 
 
 @pytest.mark.parametrize("r", (4, 5, 6))
 @pytest.mark.parametrize("cls", (GraphClass.BIPARTITE, GraphClass.TRIANGLE_FREE_NONBIPARTITE))
 def test_bipartite_rule_keeps_exactly_the_matching_sets(monkeypatch, r, cls):
-    """A class with a bipartiteness rule finds the triangle-free sets whose
-    completion obeys that rule, no more and no fewer, in the same order. The
-    search rule is tested alone, on the candidate list without the class's
-    edge-maximum rule and on every triangle-free core, bipartite ones too."""
+    """On every triangle-free core that obeys a class's bipartiteness rule,
+    the class finds the triangle-free sets whose completion obeys it, no more
+    and no fewer, in the same order; a core that breaks the rule is refused.
+    The search is tested alone, on the candidate list without the class's
+    edge-maximum rule. On a non-bipartite core every set is kept: each
+    completion keeps the core's odd cycle, the premise of the tfnb search."""
     _without_core_rules(monkeypatch)
-    for core in _unfiltered_cores(r, cls):
-        assert all_extensions(core, cls) == [
-            s
-            for s in all_extensions(core, GraphClass.TRIANGLE_FREE)
-            if (bipartition(complete(core, s)) is not None) == cls.bipartite
-        ]
+    for core in gen_cores(r, GraphClass.TRIANGLE_FREE):
+        if (bipartition(core.graph) is not None) != cls.bipartite:
+            with pytest.raises(ValueError, match=f"a {cls.value} search needs a"):
+                all_extensions(core, cls)
+            continue
+        sets = all_extensions(core, GraphClass.TRIANGLE_FREE)
+        kept = [s for s in sets if (bipartition(complete(core, s)) is not None) == cls.bipartite]
+        assert all_extensions(core, cls) == kept
+        if cls.bipartite is False:
+            assert kept == sets
 
 
 def test_colouring_helper_matches_bipartition(reduced_corpus):
@@ -687,12 +689,6 @@ def test_enumerate_extremal_rank4_nonbipartite_is_empty():
     assert rep.extremal == ()
 
 
-def _unfiltered_cores(r, cls):
-    """The core list without the non-bipartite core rule: in that class every
-    triangle-free core, as in the triangle-free class."""
-    return gen_cores(r, GraphClass.TRIANGLE_FREE if cls.bipartite is False else cls)
-
-
 def _unfiltered_candidates(core, cls):
     """The candidate list without the edge-maximum core rule."""
     return tuple(
@@ -701,17 +697,30 @@ def _unfiltered_candidates(core, cls):
 
 
 def _without_core_rules(monkeypatch):
+    """Searches without the edge-maximum core rule. The non-bipartite core
+    rule lives in ``gen_cores`` alone, so its references are the triangle-free
+    runs, their non-bipartite graphs kept."""
     from rankforge import enumeration
 
-    monkeypatch.setattr(enumeration, "gen_cores", _unfiltered_cores)
     monkeypatch.setattr(enumeration, "candidates", _unfiltered_candidates)
+
+
+def _nonbipartite(graphs):
+    return tuple(g for g in graphs if bipartition(g) is None)
 
 
 def _check_core_rules_keep_the_extremal_graphs(monkeypatch, r, cls):
     ruled = enumerate_extremal(r, cls, jobs=1)
     _without_core_rules(monkeypatch)
-    plain = enumerate_extremal(r, cls, jobs=1)
-    assert (ruled.max_order, ruled.extremal) == (plain.max_order, plain.extremal)
+    if cls.bipartite is False:
+        plain = enumerate_extremal(r, GraphClass.TRIANGLE_FREE, jobs=1)
+        graphs = _nonbipartite(enumerate_all(r, GraphClass.TRIANGLE_FREE, min_order=c_bound(r)))
+        top = max((g.n for g in graphs), default=0)
+        want = (top, tuple(to_graph6(g) for g in graphs if g.n == top))
+    else:
+        plain = enumerate_extremal(r, cls, jobs=1)
+        want = (plain.max_order, plain.extremal)
+    assert (ruled.max_order, ruled.extremal) == want
     assert ruled.cores_processed <= plain.cores_processed
     assert ruled.candidates_total <= plain.candidates_total
 
@@ -722,7 +731,8 @@ def _check_core_rules_keep_the_extremal_graphs(monkeypatch, r, cls):
 )
 def test_core_rules_keep_the_extremal_graphs(monkeypatch, r, cls):
     """Both core-choice rules leave ``max_order`` and ``extremal`` as the
-    unfiltered core and candidate lists give them."""
+    unfiltered candidate lists give them; in the non-bipartite class, as the
+    largest non-bipartite triangle-free graphs of order at least c(r) are."""
     _check_core_rules_keep_the_extremal_graphs(monkeypatch, r, cls)
 
 
@@ -740,7 +750,10 @@ def test_core_rules_keep_the_extremal_graphs_at_rank9(monkeypatch, cls):
 def test_core_rules_keep_every_graph_of_enumerate_all(monkeypatch, r, cls, min_order):
     ruled = enumerate_all(r, cls, min_order=min_order)
     _without_core_rules(monkeypatch)
-    assert ruled == enumerate_all(r, cls, min_order=min_order)
+    if cls.bipartite is False:
+        assert ruled == _nonbipartite(enumerate_all(r, GraphClass.TRIANGLE_FREE, min_order))
+    else:
+        assert ruled == enumerate_all(r, cls, min_order=min_order)
     assert ruled
 
 
@@ -1056,7 +1069,7 @@ def test_determinism_across_job_counts():
 def test_sharding_and_merge(r, cls, shards):
     full = enumerate_extremal(r, cls)
     parts = [enumerate_extremal(r, cls, shards=shards, shard_index=i) for i in range(shards)]
-    merged = merge_reports([p.to_payload() for p in parts])
+    merged = merge_reports([report_from_payload(p.to_payload()) for p in parts]).to_payload()
     single = full.to_payload()
     del merged["elapsed_ms"], single["elapsed_ms"]
     assert merged == single
@@ -1067,7 +1080,7 @@ def test_sharding_and_merge(r, cls, shards):
 def test_merge_needs_shards_of_one_rank_and_class():
     with pytest.raises(ValueError, match="nothing to merge"):
         merge_reports([])
-    parts = [enumerate_extremal(r, GraphClass.TRIANGLE_FREE).to_payload() for r in (4, 5)]
+    parts = [enumerate_extremal(r, GraphClass.TRIANGLE_FREE) for r in (4, 5)]
     with pytest.raises(ValueError, match="disagree on rank or class"):
         merge_reports(parts)
 
@@ -1076,8 +1089,8 @@ def test_merge_refuses_a_missing_repeated_or_foreign_shard():
     def shard(k, i):
         return enumerate_extremal(6, GraphClass.TRIANGLE_FREE, jobs=1, shards=k, shard_index=i)
 
-    s0, s1 = (shard(2, i).to_payload() for i in range(2))
-    assert (s1["shards"], s1["shard_index"]) == (2, 1)
+    s0, s1 = (shard(2, i) for i in range(2))
+    assert (s1.shards, s1.shard_index) == (2, 1)
     needs = r"merge needs shard indices 0\.\.1 once each: "
     with pytest.raises(ValueError, match=needs + r"missing \[1\], repeated \[0\]"):
         merge_reports([s0, s0])
@@ -1086,9 +1099,9 @@ def test_merge_refuses_a_missing_repeated_or_foreign_shard():
     with pytest.raises(ValueError, match=needs + r"missing \[\], repeated \[1\]"):
         merge_reports([s1, s0, s1])
     with pytest.raises(ValueError, match="disagree .* shard count"):
-        merge_reports([s0, s1, shard(3, 2).to_payload()])
+        merge_reports([s0, s1, shard(3, 2)])
     merged = merge_reports([s1, s0])
-    assert (merged["shards"], merged["shard_index"]) == (1, 0)
+    assert (merged.shards, merged.shard_index) == (1, 0)
 
 
 def test_the_pool_starts_no_more_workers_than_there_are_cores(monkeypatch):
@@ -1180,17 +1193,32 @@ def test_report_counters_are_pinned(r, cls, counters):
         # C5 labeled along the cycle: the right graph, but not canonical ("DLo").
         lambda p: {**p, "extremal": [to_graph6(cycle_graph(5))]},
         lambda p: {**p, "max_order": 10},
+        # Well formed, but no enumeration writes them: the rank-5 graphs have
+        # rank 5 and odd cycles (a bipartite graph has even rank).
+        lambda p: {**p, "rank": 70},
+        lambda p: {**p, "extremal": []},
+        lambda p: {**p, "nodes_explored": -5},
+        lambda p: {**p, "class": "bipartite"},
+        lambda p: {**p, "extremal": p["extremal"] * 2},
     ],
     ids=["list", "empty", "no-class", "extra-key", "str-order", "str-extremal", "bool",
          "index-past-shards", "negative-index", "no-shards", "not-graph6", "unknown-class",
-         "non-canonical", "wrong-order"],
+         "non-canonical", "wrong-order", "wrong-rank", "no-extremal", "negative-counter",
+         "wrong-class", "repeated-graph"],
 )
-def test_report_from_payload_rejects_other_shapes(change):
+def test_report_from_payload_rejects_other_shapes(capsys, tmp_path, change):
+    from rankforge.cli import main
+
     payload = enumerate_extremal(5, GraphClass.TRIANGLE_FREE).to_payload()
     with pytest.raises(ValueError):
         report_from_payload(change(payload))
-    with pytest.raises(ValueError):
-        merge_reports([payload, change(payload)])
+    # ``merge`` reads every file through it, and names the file it refuses.
+    good, bad, out = (tmp_path / name for name in ("good.json", "bad.json", "merged.json"))
+    good.write_text(json.dumps(payload))
+    bad.write_text(json.dumps(change(payload)))
+    assert main(["merge", str(good), str(bad), "--report", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
